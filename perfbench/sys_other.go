@@ -1,0 +1,9 @@
+//go:build !linux
+
+package main
+
+import "time"
+
+func preciseSleep(d time.Duration) { time.Sleep(d) }
+
+func syncFilesystems() {}
