@@ -63,7 +63,6 @@ func main() {
 	sampleSize := flag.Int("sample-size", 0, "advisor: estimate indicators and derivations from this many sampled base series per node (0 = exact)")
 	exactMode := flag.Bool("exact", false, "advisor: force exact computation even when -sample-size is set")
 	lazy := flag.Bool("lazy", false, "build the cube with on-demand node materialization (large cubes)")
-	stripes := flag.Int("stripes", 0, "write stripes sharding the insert path (0 = near GOMAXPROCS, rounded to a power of two; negative = single stripe)")
 	parallelism := flag.Int("parallelism", 0, "worker pool size for off-lock model re-estimation (0 = GOMAXPROCS)")
 	eager := flag.Bool("eager-reestimate", false, "re-fit invalidated models right after the batch advance instead of lazily on first query")
 	coldRefit := flag.Bool("cold-refit", false, "disable warm-started re-estimation (full cold parameter search on every re-fit)")
@@ -86,10 +85,12 @@ func main() {
 	selftuneHorizon := flag.Int("selftune-horizon", 1, "self-tuning forecast horizon in buckets")
 	selftuneSeason := flag.Int("selftune-season", 0, "self-tuning seasonal period in buckets (0 = non-seasonal smoothing)")
 	flag.Parse()
+	if *pprofFlag && *metricsAddr == "" {
+		fail(fmt.Errorf("-pprof mounts on the metrics listener; set -metrics too"))
+	}
 	engineOpts := func() f2db.Options {
 		return f2db.Options{
 			Strategy:        f2db.TimeBased{Every: 8},
-			Stripes:         *stripes,
 			Parallelism:     *parallelism,
 			EagerReestimate: *eager,
 			ColdRefit:       *coldRefit,
@@ -274,9 +275,6 @@ func main() {
 		sib.Start()
 		defer sib.Stop()
 	}
-	if *pprofFlag && *metricsAddr == "" {
-		fail(fmt.Errorf("-pprof mounts on the metrics listener; set -metrics too"))
-	}
 	serveMetrics(db, *metricsAddr, *pprofFlag, sibCollectors...)
 	if *wlPoints > 0 {
 		if g == nil {
@@ -390,13 +388,6 @@ func printWorkload(res workload.RunResult) {
 	}
 }
 
-// saveDB snapshots the engine to path through the shared crash-safe
-// protocol (tmp file, fsync, rename, directory fsync) — a \save that
-// returned without the syncs could still lose the file to a crash.
-func saveDB(db *f2db.DB, path string) error {
-	return f2db.WriteSnapshotFile(nil, path, db)
-}
-
 // localStmt executes one statement against the in-process engine.
 func localStmt(db *f2db.DB, stmt string) error {
 	switch {
@@ -412,7 +403,7 @@ func localStmt(db *f2db.DB, stmt string) error {
 		return nil
 	case strings.HasPrefix(stmt, `\save `):
 		path := strings.TrimSpace(strings.TrimPrefix(stmt, `\save `))
-		if err := saveDB(db, path); err != nil {
+		if err := f2db.WriteSnapshotFile(nil, path, db); err != nil {
 			return err
 		}
 		fmt.Printf("database saved to %s (reopen with -db %s)\n", path, path)
@@ -526,7 +517,7 @@ func repl(db *f2db.DB, name string) {
 			}
 		case strings.HasPrefix(line, `\save `):
 			path := strings.TrimSpace(strings.TrimPrefix(line, `\save `))
-			if err := saveDB(db, path); err != nil {
+			if err := f2db.WriteSnapshotFile(nil, path, db); err != nil {
 				fmt.Println("error:", err)
 				continue
 			}

@@ -25,8 +25,8 @@
 // The data set (or snapshot) is still loaded — for its hyper graph, which
 // the statement router resolves queries against. Repeated statements are
 // answered from an epoch-invalidated result cache without touching the
-// shards (-coord-cache, on by default; -coord-cache-size), and the
-// replicated statement log is bounded (-log-retain).
+// shards (-coord-cache-size, default 1024 statements; 0 disables it), and
+// the replicated statement log is bounded (-log-retain).
 //
 // With -selftune the daemon runs the internal/sibyl self-forecasting
 // engine over its own query stream: per-template arrival counts feed
@@ -72,7 +72,6 @@ func main() {
 	configPath := flag.String("config", "", "load a saved configuration instead of running the advisor")
 	dbPath := flag.String("db", "", "open a saved database snapshot instead of a data set")
 	savePath := flag.String("save", "", "save a database snapshot to this path after draining")
-	stripes := flag.Int("stripes", 0, "write stripes sharding the insert path (0 = near GOMAXPROCS, rounded to a power of two; negative = single stripe)")
 	parallelism := flag.Int("parallelism", 0, "worker pool size for off-lock model re-estimation (0 = GOMAXPROCS)")
 	eager := flag.Bool("eager-reestimate", false, "re-fit invalidated models right after the batch advance instead of lazily on first query")
 	coldRefit := flag.Bool("cold-refit", false, "disable warm-started re-estimation (full cold parameter search on every re-fit)")
@@ -85,8 +84,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "shutdown drain deadline before in-flight connections are force-closed")
 	coordinator := flag.Bool("coordinator", false, "route statements to the -shards cluster instead of serving a local engine")
 	shardsFlag := flag.String("shards", "", "comma-separated f2dbd shard addresses (coordinator mode)")
-	coordCache := flag.Bool("coord-cache", true, "coordinator mode: serve repeated statements from the epoch-invalidated result cache instead of fanning out")
-	coordCacheSize := flag.Int("coord-cache-size", 1024, "coordinator mode: result cache and route memo capacity in statements")
+	coordCacheSize := flag.Int("coord-cache-size", 1024, "coordinator mode: capacity in statements of the epoch-invalidated result cache and route memo (0 disables them)")
 	coordLogRetain := flag.Int("log-retain", 0, "coordinator mode: statement-log entries retained for restart realignment (0 = default 4096, negative = unlimited)")
 	selftune := flag.Bool("selftune", false, "run the self-forecasting engine: per-template workload prediction drives cache pre-warming, trough-scheduled maintenance, and adaptive cache sizing")
 	selftuneBucket := flag.Duration("selftune-bucket", time.Second, "self-tuning arrival-count bucket width (and control-loop period)")
@@ -128,6 +126,9 @@ func main() {
 	if (*checkpointEvery > 0 || *checkpointBatches > 0) && *walDir == "" {
 		fail(fmt.Errorf("-checkpoint-every/-checkpoint-batches need -wal-dir"))
 	}
+	if *pprofFlag && *metricsAddr == "" {
+		fail(fmt.Errorf("-pprof mounts on the metrics listener; set -metrics too"))
+	}
 	if *coordinator {
 		if *shardsFlag == "" {
 			fail(fmt.Errorf("-coordinator requires -shards"))
@@ -146,12 +147,8 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		cacheSize := 0
-		if *coordCache {
-			cacheSize = *coordCacheSize
-		}
 		co, err = coord.New(planner, addrs, coord.Options{
-			CacheSize: cacheSize,
+			CacheSize: *coordCacheSize,
 			LogRetain: *coordLogRetain,
 			Logf:      logf,
 		})
@@ -159,7 +156,7 @@ func main() {
 			fail(err)
 		}
 		if sib != nil {
-			attachCoordTuning(sib, co, cacheSize)
+			attachCoordTuning(sib, co, *coordCacheSize)
 		}
 		srv = server.NewBackend(co, srvOpts)
 		metrics = []f2db.Collector{co.Metrics().Collector(), srv.Metrics().Collector()}
@@ -170,7 +167,6 @@ func main() {
 	} else {
 		opts := f2db.Options{
 			Strategy:        f2db.TimeBased{Every: 8},
-			Stripes:         *stripes,
 			Parallelism:     *parallelism,
 			EagerReestimate: *eager,
 			ColdRefit:       *coldRefit,
@@ -233,9 +229,6 @@ func main() {
 			name, db.Graph().NumNodes(), db.Configuration().NumModels(), ln.Addr())
 	}
 
-	if *pprofFlag && *metricsAddr == "" {
-		fail(fmt.Errorf("-pprof mounts on the metrics listener; set -metrics too"))
-	}
 	if *metricsAddr != "" {
 		mux := http.NewServeMux()
 		if co != nil {
@@ -304,7 +297,7 @@ func main() {
 			fmt.Printf("f2dbd: checkpointed durable dir %s\n", *walDir)
 		}
 		if *savePath != "" {
-			if err := saveSnapshot(*savePath, db); err != nil {
+			if err := f2db.WriteSnapshotFile(nil, *savePath, db); err != nil {
 				fail(err)
 			}
 			fmt.Printf("f2dbd: database saved to %s\n", *savePath)
@@ -327,7 +320,7 @@ func openPlanner(dbPath, dataset string) (*f2db.Planner, string, error) {
 			return nil, "", err
 		}
 		defer fh.Close()
-		db, err := f2db.LoadDatabase(fh, f2db.Options{Strategy: f2db.Never{}, Stripes: -1})
+		db, err := f2db.LoadDatabase(fh, f2db.Options{Strategy: f2db.Never{}})
 		if err != nil {
 			return nil, "", err
 		}
@@ -395,15 +388,6 @@ func openEngine(dbPath, dataset, configPath string, opts f2db.Options) (*f2db.DB
 		return nil, "", err
 	}
 	return db, ds.Name, nil
-}
-
-// saveSnapshot writes the engine image through the shared crash-safe
-// protocol (tmp file, fsync, rename, directory fsync). The earlier bare
-// tmp+rename left two windows a crash could fall into — the renamed file's
-// blocks still unflushed, or the rename's directory entry itself lost —
-// both closed by WriteSnapshotFile.
-func saveSnapshot(path string, db *f2db.DB) error {
-	return f2db.WriteSnapshotFile(nil, path, db)
 }
 
 func fail(err error) {

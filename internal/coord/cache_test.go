@@ -29,7 +29,7 @@ func TestNormalizeSQLSharedKeying(t *testing.T) {
 	g, data := buildCube(t)
 
 	// Engine tier: the second variant must hit the plan cache.
-	db := loadEngine(t, data, -1)
+	db := loadEngine(t, data)
 	if _, err := db.Query(canon); err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestReadCacheStaleFlightRetry(t *testing.T) {
 // then serves hits again at the new epoch.
 func TestCoordCacheInvalidationWindow(t *testing.T) {
 	g, data := buildCube(t)
-	twin := loadEngine(t, data, -1)
+	twin := loadEngine(t, data)
 	s0 := startShardOn(t, data, "127.0.0.1:0")
 	defer s0.stop(t)
 	opts := testCoordOpts(t)
@@ -377,7 +377,7 @@ func TestCoordCacheInvalidationWindow(t *testing.T) {
 // single-process twin in lockstep; every query answer must stay bit-exact.
 func TestCoordCacheQuickInterleavings(t *testing.T) {
 	g, data := buildCube(t)
-	twin := loadEngine(t, data, -1)
+	twin := loadEngine(t, data)
 	s0 := startShardOn(t, data, "127.0.0.1:0")
 	s1 := startShardOn(t, data, "127.0.0.1:0")
 	defer s0.stop(t)
@@ -444,7 +444,7 @@ func TestCoordCacheQuickInterleavings(t *testing.T) {
 // at each write boundary.
 func TestCoordCacheTwinRace(t *testing.T) {
 	g, data := buildCube(t)
-	twin := loadEngine(t, data, -1)
+	twin := loadEngine(t, data)
 	a0 := startShardOn(t, data, "127.0.0.1:0")
 	a1 := startShardOn(t, data, "127.0.0.1:0")
 	b0 := startShardOn(t, data, "127.0.0.1:0")

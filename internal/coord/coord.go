@@ -9,8 +9,7 @@
 // holding a subset of the series could never advance or answer aggregates.
 // Each shard therefore runs a FULL engine replica over the same dataset
 // and configuration, and the shard map partitions the QUERY space instead:
-// ShardFor lifts the engine's Fibonacci write-stripe hash from stripe
-// level to process level and assigns every graph node an owning shard.
+// ShardFor assigns every graph node an owning shard by Fibonacci hashing.
 // Single-node statements are routed to the owner (its plan/memo caches and
 // lazily re-fit models stay hot for exactly its partition); drill-down
 // statements scatter per-member single-node sub-queries to each member's
@@ -56,14 +55,13 @@ var ErrClosed = errors.New("coord: coordinator closed")
 // became servable within Options.QueryWait.
 var ErrNoShards = errors.New("coord: no servable shard")
 
-// fibMult is the Fibonacci hashing multiplier the engine's write stripes
-// use (internal/f2db/stripe.go); reusing it keeps the process-level and
-// stripe-level partitions of the same family.
+// fibMult is the Fibonacci hashing multiplier (2^64 divided by the golden
+// ratio): it spreads consecutive node IDs evenly over the shards.
 const fibMult = 0x9E3779B97F4A7C15
 
-// ShardFor maps a graph node ID to its owning shard among n. It is the
-// stripe hash lifted to process level, with fixed-point scaling of the top
-// hash bits instead of a shift so n need not be a power of two.
+// ShardFor maps a graph node ID to its owning shard among n: a Fibonacci
+// hash with fixed-point scaling of the top hash bits, so n need not be a
+// power of two.
 func ShardFor(id, n int) int {
 	if n <= 1 {
 		return 0
@@ -190,8 +188,8 @@ type Coordinator struct {
 	// rejections make it run ahead of the engines, which costs extra
 	// invalidation, never staleness.
 	pendingRows int
-	cond   *sync.Cond
-	log    []*logEntry
+	cond        *sync.Cond
+	log         []*logEntry
 	// trimBase is the absolute index of log[0]: trimmed entries advance
 	// it instead of renumbering, so shard cursors and Exec bookkeeping
 	// stay absolute. trimRows is the cumulative row count through the

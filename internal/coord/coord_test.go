@@ -67,9 +67,9 @@ func buildCube(t testing.TB) (*cube.Graph, []byte) {
 }
 
 // loadEngine loads a fresh replica engine from the snapshot bytes.
-func loadEngine(t testing.TB, data []byte, stripes int) *f2db.DB {
+func loadEngine(t testing.TB, data []byte) *f2db.DB {
 	t.Helper()
-	db, err := f2db.LoadDatabase(bytes.NewReader(data), f2db.Options{Strategy: f2db.Never{}, Stripes: stripes})
+	db, err := f2db.LoadDatabase(bytes.NewReader(data), f2db.Options{Strategy: f2db.Never{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ type testShard struct {
 // port; a concrete addr rebinds a restarted shard to its old one).
 func startShardOn(t testing.TB, data []byte, addr string) *testShard {
 	t.Helper()
-	db := loadEngine(t, data, 4)
+	db := loadEngine(t, data)
 	srv := server.New(db, server.Options{})
 	var ln net.Listener
 	var err error
@@ -305,7 +305,7 @@ func TestMetricsCollector(t *testing.T) {
 // in-process twin engine, and rejections carry the twin's exact text.
 func TestCoordinatorServes(t *testing.T) {
 	g, data := buildCube(t)
-	twin := loadEngine(t, data, -1)
+	twin := loadEngine(t, data)
 	s0 := startShardOn(t, data, "127.0.0.1:0")
 	s1 := startShardOn(t, data, "127.0.0.1:0")
 	defer s0.stop(t)
@@ -439,7 +439,7 @@ func TestCoordinatorBackend(t *testing.T) {
 // shard-state metrics reflect the outage.
 func TestCoordinatorFailover(t *testing.T) {
 	g, data := buildCube(t)
-	twin := loadEngine(t, data, -1)
+	twin := loadEngine(t, data)
 	s0 := startShardOn(t, data, "127.0.0.1:0")
 	s1 := startShardOn(t, data, "127.0.0.1:0")
 	defer s0.stop(t)

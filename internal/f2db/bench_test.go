@@ -260,12 +260,11 @@ func BenchmarkInsertBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkInsertParallel is the striping scaling benchmark: one full
+// BenchmarkInsertParallel is the write-path scaling benchmark: one full
 // maintenance batch per op, driven by 1/2/4/8 concurrent writer goroutines
-// over disjoint parts of the batch, against both the single-stripe layout
-// (the pre-striping write lock, Stripes: -1) and the striped layout. The
-// advisor runs once; every sub-benchmark reopens the same snapshot so all
-// variants insert into identical engines.
+// over disjoint parts of the batch. The advisor runs once; every
+// sub-benchmark reopens the same snapshot so all variants insert into
+// identical engines.
 func BenchmarkInsertParallel(b *testing.B) {
 	src, _ := benchEngine(b, nil)
 	var buf bytes.Buffer
@@ -273,47 +272,38 @@ func BenchmarkInsertParallel(b *testing.B) {
 		b.Fatal(err)
 	}
 	img := buf.Bytes()
-	layouts := []struct {
-		name    string
-		stripes int
-	}{
-		{"single-stripe", -1},
-		{"striped", 8},
-	}
-	for _, layout := range layouts {
-		for _, writers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/writers=%d", layout.name, writers), func(b *testing.B) {
-				db, err := LoadDatabase(bytes.NewReader(img), Options{Stripes: layout.stripes})
-				if err != nil {
-					b.Fatal(err)
+	for _, writers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
+			db, err := LoadDatabase(bytes.NewReader(img), Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			ids := db.Graph().BaseIDs()
+			parts := make([]map[int]float64, writers)
+			for i := range parts {
+				parts[i] = make(map[int]float64)
+			}
+			for i, id := range ids {
+				parts[i%writers][id] = 50 + float64(i)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var wg sync.WaitGroup
+				errs := make([]error, writers)
+				for w := 0; w < writers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						errs[w] = db.InsertBatch(parts[w])
+					}(w)
 				}
-				ids := db.Graph().BaseIDs()
-				parts := make([]map[int]float64, writers)
-				for i := range parts {
-					parts[i] = make(map[int]float64)
-				}
-				for i, id := range ids {
-					parts[i%writers][id] = 50 + float64(i)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var wg sync.WaitGroup
-					errs := make([]error, writers)
-					for w := 0; w < writers; w++ {
-						wg.Add(1)
-						go func(w int) {
-							defer wg.Done()
-							errs[w] = db.InsertBatch(parts[w])
-						}(w)
-					}
-					wg.Wait()
-					for _, err := range errs {
-						if err != nil {
-							b.Fatal(err)
-						}
+				wg.Wait()
+				for _, err := range errs {
+					if err != nil {
+						b.Fatal(err)
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }

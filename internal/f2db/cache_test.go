@@ -504,9 +504,7 @@ func TestCacheThrashEviction(t *testing.T) {
 }
 
 func TestCacheForecastCapacitySweep(t *testing.T) {
-	// Single shard so the capacity is one shared budget, as the sweep
-	// semantics under test assume.
-	c := newFcCache(4, 2, 1)
+	c := newFcCache(4, 2)
 	c.put(fcKey{node: 0, h: 1}, []float64{1}, nil, nil)
 	c.put(fcKey{node: 1, h: 1}, []float64{2}, nil, nil)
 	// Staling node 0 lets the capacity sweep reclaim its entry.

@@ -30,9 +30,8 @@ const crashDir = "db"
 // crashEngineOpts pins the options every engine in this file opens with.
 // Strategy Never keeps model re-fits out of the picture (a lazy re-fit
 // triggered on one side but not the other would diverge states that are
-// both individually correct); a fixed stripe count keeps the two sides'
-// stripe layout identical regardless of GOMAXPROCS.
-func crashEngineOpts() Options { return Options{Strategy: Never{}, Stripes: 4} }
+// both individually correct).
+func crashEngineOpts() Options { return Options{Strategy: Never{}} }
 
 // crashFixture builds a MemFS holding a freshly initialized durable
 // directory (advisor run + initial snapshot, WAL empty) and returns it with
@@ -134,7 +133,7 @@ func stateDigest(t testing.TB, db *DB) string {
 	t.Helper()
 	var b strings.Builder
 	gv := db.Graph()
-	fmt.Fprintf(&b, "len=%d pending=%d\n", gv.Length(), db.pendingTotal.Load())
+	fmt.Fprintf(&b, "len=%d pending=%d\n", gv.Length(), db.Stats().PendingInserts)
 	for id := 0; id < gv.NumNodes(); id++ {
 		fmt.Fprintf(&b, "s %s", gv.NodeKey(id))
 		for _, v := range gv.NodeValues(id) {
@@ -143,13 +142,11 @@ func stateDigest(t testing.TB, db *DB) string {
 		b.WriteByte('\n')
 	}
 	pend := make(map[int]float64)
-	for i := range db.stripes {
-		db.stripes[i].lock()
-		for id, v := range db.stripes[i].pending {
-			pend[id] = v
-		}
-		db.stripes[i].mu.Unlock()
+	db.lockPending()
+	for id, v := range db.pending {
+		pend[id] = v
 	}
+	db.pmu.Unlock()
 	pids := make([]int, 0, len(pend))
 	for id := range pend {
 		pids = append(pids, id)
@@ -353,7 +350,7 @@ func TestCrashRecoveryQuickProperty(t *testing.T) {
 		}
 		// Half-fill the next batch; never completes, so it never commits.
 		// Errors are expected when the kill already poisoned the engine
-		// mid-batch (its stripes still hold the refused batch).
+		// mid-batch (its pending buffer still holds the refused batch).
 		for _, id := range ids[:len(ids)/2] {
 			_ = d0.DB().InsertBase(id, 7)
 		}
@@ -363,7 +360,7 @@ func TestCrashRecoveryQuickProperty(t *testing.T) {
 
 		d := reopenRecovered(t, fs, 0)
 		defer d.Close()
-		if d.DB().pendingTotal.Load() != 0 {
+		if d.DB().Stats().PendingInserts != 0 {
 			t.Logf("seed=%d kill=%d power=%v: partial batch survived recovery", seed, killAt, powerLoss)
 			return false
 		}
@@ -551,7 +548,7 @@ func TestDurableCheckpoint(t *testing.T) {
 // TestDurableConcurrentInserts hammers a durable engine from parallel
 // inserters with a concurrent forecast reader — the group-commit gate runs
 // under the engine write lock inside the advance, and this (under -race)
-// is the proof the WAL hook does not break the striped write path's
+// is the proof the WAL hook does not break the write path's
 // synchronization. The run then survives a process kill bit-identically.
 func TestDurableConcurrentInserts(t *testing.T) {
 	base, snap, ids, baseGen := crashFixture(t)

@@ -10,20 +10,18 @@
 //
 // Concurrency model: the engine distinguishes readers from maintenance.
 // Forecast queries (Query, ForecastNode, Health, Stats, Explain) take
-// shared read access and run concurrently on all cores. The write path is
-// striped (stripe.go): base series are partitioned by node-ID hash into
-// power-of-two stripes, each owning its slice of the pending insert batch
-// behind its own mutex, so parallel insert streams only contend when they
-// hit the same stripe. The exclusive engine lock is reserved for the two
-// cross-stripe events — the batch time advance (model state updates,
-// derivation-weight updates, invalidation) and model re-estimation. The
-// one crossing point between readers and writers is lazy re-estimation
-// (Section V delays parameter re-estimation until a query references the
-// model): a query that hits an invalidated model retries once holding the
-// write lock. Lock ownership is witnessed by a guard value produced only
-// by the acquire helpers, so exclusive-only paths assert their lock
-// instead of trusting a convention. Engine counters are atomics (see
-// metrics.go), so observing the engine never blocks it.
+// shared read access and run concurrently on all cores. Inserts fill one
+// pending batch behind its own mutex, so they never wait for readers; the
+// exclusive engine lock is reserved for the batch time advance (model
+// state updates, derivation-weight updates, invalidation) and model
+// re-estimation. The one crossing point between readers and writers is
+// lazy re-estimation (Section V delays parameter re-estimation until a
+// query references the model): a query that hits an invalidated model
+// retries once holding the write lock. Lock ownership is witnessed by a
+// guard value produced only by the acquire helpers, so exclusive-only
+// paths assert their lock instead of trusting a convention. Engine
+// counters are atomics (see metrics.go), so observing the engine never
+// takes the engine lock.
 package f2db
 
 import (
@@ -129,25 +127,14 @@ type DB struct {
 	mstats   map[int]*ModelStats
 	schemes  map[int]*schemeState
 
-	// stripes shard the pending insert batch by base-node hash (see
-	// stripe.go): inserts lock only their stripe, so parallel insert
-	// streams do not contend until a batch completes. Time advances only
-	// once every base series has a value for the next time stamp; the
-	// advance is a cross-stripe barrier taken under the engine write lock.
-	// Lock order: mu before any stripe mutex, never the reverse.
-	stripes     []writeStripe
-	stripeShift uint
-	// pendingTotal counts values across all stripe buffers; the batch is
-	// complete exactly when it reaches len(graph.BaseIDs). It is a
-	// completion hint — the authoritative check runs under mu in
-	// advanceIfComplete.
-	pendingTotal atomic.Int64
-	// advanceGen increments (under mu) every time a complete batch is
-	// swapped out of the stripe buffers. Inserters that hit a duplicate
-	// use it to distinguish "my value is a genuine duplicate in the
-	// current batch" from "the batch holding the duplicate just advanced;
-	// retry against the fresh one".
-	advanceGen atomic.Uint64
+	// pending is the insert batch being filled, guarded by pmu (acquire it
+	// through lockPending, which counts contended acquisitions in
+	// pendingContention). Time advances only once every base series has a
+	// value for the next time stamp, i.e. when len(pending) reaches
+	// len(graph.BaseIDs). Lock order: mu before pmu, never the reverse.
+	pmu               sync.Mutex
+	pending           map[int]float64
+	pendingContention atomic.Int64
 
 	// baseCounts holds the number of base series per node (AVG queries),
 	// precomputed at Open so the read path never mutates shared state.
@@ -179,21 +166,16 @@ type DB struct {
 	tele atomic.Pointer[teleBox]
 
 	// commitHook, when non-nil, is the group-commit gate: advanceIfComplete
-	// calls it under the write lock with the complete batch and the
-	// generation it creates (the observation index it will occupy), BEFORE
-	// the stripe buffers are swept and the batch applied. The durability
-	// layer (durable.go) installs the WAL append here; an error refuses the
-	// advance with the stripes untouched, so the engine stays consistent and
-	// a later insert retries the commit. Installed once before any
-	// concurrency (OpenDurable) — never mutated on a live engine.
+	// calls it under the write lock and the pending mutex with the complete
+	// batch and the generation it creates (the observation index it will
+	// occupy), BEFORE the pending buffer is cleared and the batch applied.
+	// The durability layer (durable.go) installs the WAL append here; an
+	// error refuses the advance with every value still pending, so the
+	// engine stays consistent and a later insert retries the commit.
+	// Installed once before any concurrency (OpenDurable) — never mutated on
+	// a live engine.
 	commitHook func(gen uint64, batch map[int]float64) error
 
-	// testHookAfterSweep, when non-nil, runs inside advanceIfComplete after
-	// the stripe sweep but before the pending counter is rebalanced — the
-	// window in which a lock-free insert can race an in-flight advance.
-	// Tests use it to land a racing insert deterministically; always nil in
-	// production.
-	testHookAfterSweep func()
 	// testHookBeforeInstall, when non-nil, runs in reestimateNode after the
 	// off-lock fit but before the install lock is taken — the window in
 	// which a batch advance makes the fitted clone stale. Tests use it to
@@ -214,12 +196,6 @@ type Options struct {
 	// ForecastCacheSize bounds the epoch-invalidated forecast memo table.
 	// 0 selects the default (4096); a negative value disables memoization.
 	ForecastCacheSize int
-	// Stripes is the number of write stripes sharding the pending insert
-	// batch and the forecast memo table. 0 picks a power of two near
-	// GOMAXPROCS; other values are rounded up to the next power of two
-	// (capped at 256). Negative forces a single stripe — the pre-striping
-	// global-lock layout, kept for baseline benchmarks.
-	Stripes int
 	// Parallelism bounds the worker pool that re-fits invalidated models
 	// off the exclusive lock (eager maintenance and lazy query pre-fits).
 	// 0 picks GOMAXPROCS.
@@ -253,7 +229,6 @@ func Open(g *cube.Graph, cfg *core.Configuration, opts Options) (*DB, error) {
 	if opts.Strategy == nil {
 		opts.Strategy = Never{}
 	}
-	nstripes := resolveStripeCount(opts.Stripes)
 	db := &DB{
 		graph:        g,
 		cfg:          cfg,
@@ -262,20 +237,13 @@ func Open(g *cube.Graph, cfg *core.Configuration, opts Options) (*DB, error) {
 		invalid:      make(map[int]bool),
 		mstats:       make(map[int]*ModelStats),
 		schemes:      make(map[int]*schemeState),
-		stripes:      make([]writeStripe, nstripes),
-		stripeShift:  stripeShiftFor(nstripes),
+		pending:      make(map[int]float64, len(g.BaseIDs)),
 		parallelism:  opts.Parallelism,
 		eager:        opts.EagerReestimate,
 		coldRefit:    opts.ColdRefit,
 	}
 	if db.parallelism <= 0 {
 		db.parallelism = runtime.GOMAXPROCS(0)
-	}
-	for _, id := range g.BaseIDs {
-		db.stripeFor(id).bases++
-	}
-	for i := range db.stripes {
-		db.stripes[i].pending = make(map[int]float64, db.stripes[i].bases)
 	}
 	for id := range cfg.Models {
 		db.mstats[id] = &ModelStats{}
@@ -313,7 +281,7 @@ func Open(g *cube.Graph, cfg *core.Configuration, opts Options) (*DB, error) {
 		if size == 0 {
 			size = defaultForecastCacheSize
 		}
-		db.fc = newFcCache(g.NumNodes(), size, nstripes)
+		db.fc = newFcCache(g.NumNodes(), size)
 		// Invert the scheme table: deps[s] = targets deriving from model
 		// s, so a re-estimation of s invalidates exactly those epochs.
 		db.deps = make(map[int][]int, len(cfg.Models))
@@ -328,9 +296,12 @@ func Open(g *cube.Graph, cfg *core.Configuration, opts Options) (*DB, error) {
 	return db, nil
 }
 
-// Stats returns a snapshot of the engine counters. It is lock-free.
+// Stats returns a snapshot of the engine counters. The counters are
+// atomics; only the pending count briefly takes the pending mutex.
 func (db *DB) Stats() Stats {
-	pending := int(db.pendingTotal.Load())
+	db.pmu.Lock()
+	pending := len(db.pending)
+	db.pmu.Unlock()
 	return Stats{
 		Queries:        int(db.met.queries.Load()),
 		Inserts:        int(db.met.inserts.Load()),
@@ -350,8 +321,8 @@ var errNeedsReestimate = errors.New("f2db: model awaits re-estimation")
 // guard witnesses ownership of the engine lock. It can only be produced by
 // rLock/wLock, so a function taking a guard provably runs under the lock,
 // and one requiring exclusivity can assert it instead of trusting a bool
-// threaded by convention — the stripe refactor must not be able to
-// double-lock or race silently.
+// threaded by convention — a refactor must not be able to double-lock or
+// race silently.
 type guard struct{ exclusive bool }
 
 // rLock takes the shared engine lock and returns its witness.
@@ -403,8 +374,8 @@ func (db *DB) ForecastNode(nodeID, h int) ([]float64, error) {
 	// Lazy re-estimation: re-fit the invalidated source models off the
 	// exclusive lock first, so the retry below holds the write lock only
 	// for derivation. If a concurrent advance invalidated the models again
-	// the retry re-fits them under the lock — the pre-stripe fallback that
-	// guarantees progress.
+	// the retry re-fits them under the lock — the fallback that guarantees
+	// progress.
 	db.reestimateMany(db.invalidSources([]int{nodeID}))
 	g = db.wLock()
 	defer db.unlock(g)
@@ -628,10 +599,9 @@ func resolveBaseIn(g *cube.Graph, members []string) (int, error) {
 }
 
 // InsertBase is Insert addressed by base node ID (fast path for generated
-// workloads). Incomplete-batch inserts only touch the stripe owning the
-// base series; the engine write lock is taken once per completed batch, so
-// parallel insert streams neither interfere with concurrent readers nor —
-// when they land on different stripes — with each other.
+// workloads). An insert that leaves the batch incomplete only takes the
+// pending mutex; the engine write lock is taken once per completed batch,
+// so insert streams never wait for concurrent readers.
 func (db *DB) InsertBase(baseID int, value float64) (err error) {
 	start := time.Now()
 	defer func() {
@@ -643,52 +613,43 @@ func (db *DB) InsertBase(baseID int, value float64) (err error) {
 	if !db.graph.IsBase(baseID) {
 		return fmt.Errorf("f2db: %d is not a base node", baseID)
 	}
-	s := db.stripeFor(baseID)
 	for {
-		// advanceGen is read before the stripe lock: while we hold the
-		// stripe mutex no advance can swap our stripe's buffer, so a
-		// duplicate observed under the lock belongs to the generation we
-		// read (or an earlier one — then the recheck below retries).
-		gen := db.advanceGen.Load()
-		s.lock()
-		if _, dup := s.pending[baseID]; dup {
-			s.mu.Unlock()
-			// Either the batch is complete and awaiting its advance
-			// (another inserter won the completion race — help apply it,
-			// then retry), or the value really is a duplicate within the
-			// current, incomplete batch.
-			if err := db.advanceIfComplete(); err != nil {
-				return err
-			}
-			if db.advanceGen.Load() == gen {
-				return fmt.Errorf("f2db: duplicate insert for base node %d in current batch", baseID)
-			}
-			continue
+		db.lockPending()
+		_, dup := db.pending[baseID]
+		if !dup {
+			db.pending[baseID] = value
 		}
-		s.pending[baseID] = value
-		s.depth.Add(1)
-		total := db.pendingTotal.Add(1)
-		s.mu.Unlock()
-		if total < int64(len(db.graph.BaseIDs)) {
+		complete := len(db.pending) == len(db.graph.BaseIDs)
+		db.pmu.Unlock()
+		if !complete {
+			if dup {
+				return errDuplicate(baseID)
+			}
 			return nil
 		}
-		return db.advanceIfComplete()
+		// The batch is complete: this insert completed it, or the duplicate
+		// belongs to a batch another inserter completed but has not applied
+		// yet. Apply (or help apply) it; a duplicate then retries against
+		// the fresh batch.
+		if err := db.advanceIfComplete(); err != nil || !dup {
+			return err
+		}
 	}
 }
 
 // InsertBatch adds new measure values for many base series (keyed by base
-// node ID) in one call. Values are routed to their write stripes and each
-// stripe's lock is taken once for its whole group, so concurrent InsertBatch
-// calls over disjoint stripes proceed in parallel; whenever the pending
-// batch becomes complete, time advances under a single acquisition of the
-// engine write lock. This is the write path for bulk producers — the
-// workload generator, snapshot restore and multi-row SQL INSERTs — where
-// per-value InsertBase locking dominates.
+// node ID) in one call, taking the pending mutex once for the whole call;
+// whenever the pending batch becomes complete, time advances under a single
+// acquisition of the engine write lock. This is the write path for bulk
+// producers — the workload generator, snapshot restore and multi-row SQL
+// INSERTs — where per-value InsertBase locking dominates.
 //
-// Values are applied in ascending node-ID order within each stripe, stripes
-// in index order. A value for a base series that already has a pending
-// value in the current (incomplete) batch is a duplicate error, exactly as
-// with InsertBase; values applied before the error sticks remain pending.
+// Values are applied in ascending node-ID order. The call holds the pending
+// mutex throughout unless it completes a batch, so a concurrent snapshot
+// captures a call that does not complete a batch either whole or not at
+// all. A value for a base series that already has a pending value in the
+// current (incomplete) batch is a duplicate error, exactly as with
+// InsertBase; values applied before the error stay pending.
 func (db *DB) InsertBatch(values map[int]float64) (err error) {
 	start := time.Now()
 	applied := 0
@@ -697,113 +658,84 @@ func (db *DB) InsertBatch(values map[int]float64) (err error) {
 		db.met.batchInserts.Add(1)
 		db.met.maintainNanos.Add(time.Since(start).Nanoseconds())
 	}()
-	groups := make([][]int, len(db.stripes))
+	ids := make([]int, 0, len(values))
 	for id := range values {
 		if !db.graph.IsBase(id) {
 			return fmt.Errorf("f2db: InsertBatch: %d is not a base node", id)
 		}
-		si := stripeIndex(id, db.stripeShift)
-		groups[si] = append(groups[si], id)
+		ids = append(ids, id)
 	}
-	numBases := int64(len(db.graph.BaseIDs))
-	for si, group := range groups {
-		if len(group) == 0 {
+	sort.Ints(ids)
+	db.lockPending()
+	for i := 0; i < len(ids); {
+		id := ids[i]
+		_, dup := db.pending[id]
+		if !dup {
+			db.pending[id] = values[id]
+			applied++
+			i++
+		}
+		if len(db.pending) < len(db.graph.BaseIDs) {
+			if dup {
+				db.pmu.Unlock()
+				return errDuplicate(id)
+			}
 			continue
 		}
-		sort.Ints(group)
-		s := &db.stripes[si]
-		i := 0
-		for i < len(group) {
-			gen := db.advanceGen.Load()
-			dupID := -1
-			s.lock()
-			for i < len(group) {
-				id := group[i]
-				if _, dup := s.pending[id]; dup {
-					dupID = id
-					break
-				}
-				s.pending[id] = values[id]
-				s.depth.Add(1)
-				db.pendingTotal.Add(1)
-				applied++
-				i++
-			}
-			s.mu.Unlock()
-			// >=, not ==: while an advance is mid-sweep, racing next-batch
-			// inserts into already-swept stripes can push the counter past
-			// numBases transiently; exact equality would skip the help-advance.
-			if db.pendingTotal.Load() >= numBases {
-				// Either this call completed the batch, or it ran into its
-				// own earlier value re-offered against an already-complete
-				// batch another inserter has not applied yet: apply (or
-				// help apply) the advance, then continue.
-				if err := db.advanceIfComplete(); err != nil {
-					return err
-				}
-			}
-			if dupID >= 0 && db.advanceGen.Load() == gen {
-				return fmt.Errorf("f2db: duplicate insert for base node %d in current batch", dupID)
-			}
+		// Complete batch: release the buffer (lock order is mu before pmu),
+		// apply the advance, then continue with the rest of the call — a
+		// duplicate retries against the fresh batch.
+		db.pmu.Unlock()
+		if err := db.advanceIfComplete(); err != nil || i == len(ids) {
+			return err
 		}
+		db.lockPending()
 	}
+	db.pmu.Unlock()
 	return nil
 }
 
-// advanceIfComplete applies the pending batch if it is (still) complete.
-// This is the write path's cross-stripe barrier: under the engine write
-// lock it visits every stripe, swaps the buffers out and advances time —
-// no insert can slip in because a complete batch makes every further
-// insert a duplicate until the swap. Safe to race: whichever caller takes
-// the write lock first advances, the rest see an incomplete (fresh) batch
-// and return.
+// errDuplicate reports a second value for a base series within one batch.
+func errDuplicate(baseID int) error {
+	return fmt.Errorf("f2db: duplicate insert for base node %d in current batch", baseID)
+}
+
+// lockPending acquires the pending mutex, counting contended acquisitions.
+func (db *DB) lockPending() {
+	if db.pmu.TryLock() {
+		return
+	}
+	db.pendingContention.Add(1)
+	db.pmu.Lock()
+}
+
+// advanceIfComplete applies the pending batch if it is (still) complete:
+// under the engine write lock and the pending mutex it commits the batch,
+// swaps in a fresh buffer and advances time. Safe to race: whichever caller
+// takes the write lock first advances, the rest see an incomplete (fresh)
+// batch and return.
 func (db *DB) advanceIfComplete() error {
 	g := db.wLock()
-	numBases := int64(len(db.graph.BaseIDs))
-	if db.pendingTotal.Load() < numBases {
+	db.lockPending()
+	batch := db.pending
+	if len(batch) < len(db.graph.BaseIDs) {
+		db.pmu.Unlock()
 		db.unlock(g)
 		return nil
 	}
-	// Copy the batch without clearing first: a complete batch freezes the
-	// stripe buffers (every further insert for a held ID is a duplicate
-	// until the sweep below), so the two-pass copy-then-clear sees one
-	// stable image even though each stripe lock is taken twice.
-	batch := make(map[int]float64, numBases)
-	for i := range db.stripes {
-		s := &db.stripes[i]
-		s.lock()
-		for id, v := range s.pending {
-			batch[id] = v
-		}
-		s.mu.Unlock()
-	}
 	// Group commit: the batch must be durable before it is applied. On
-	// error the stripes still hold every value — nothing advanced, nothing
-	// was lost, and the insert that triggered the advance reports the
-	// failure to its caller.
+	// error every value stays pending — nothing advanced, nothing was lost,
+	// and the insert that triggered the advance reports the failure to its
+	// caller.
 	if db.commitHook != nil {
 		if err := db.commitHook(uint64(db.graph.Length), batch); err != nil {
+			db.pmu.Unlock()
 			db.unlock(g)
 			return err
 		}
 	}
-	for i := range db.stripes {
-		s := &db.stripes[i]
-		s.lock()
-		clear(s.pending)
-		s.depth.Store(0)
-		s.mu.Unlock()
-	}
-	if db.testHookAfterSweep != nil {
-		db.testHookAfterSweep()
-	}
-	// Decrement by exactly the number of values collected, never reset to
-	// zero: inserters hold no engine lock, so a next-batch value can land in
-	// an already-swept stripe (and increment pendingTotal) before we get
-	// here — a Store(0) would erase that increment, permanently undercount
-	// the buffers and stop the completion check from ever firing again.
-	db.pendingTotal.Add(-int64(len(batch)))
-	db.advanceGen.Add(1)
+	db.pending = make(map[int]float64, len(batch))
+	db.pmu.Unlock()
 	err := db.advanceBatch(g, batch)
 	// Eager maintenance: collect the models this advance invalidated while
 	// still under the lock, then re-fit them on the off-lock worker pool so

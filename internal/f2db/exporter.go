@@ -124,25 +124,7 @@ func writePrometheus(w io.Writer, db *DB) {
 	gauge("f2db_pending_inserts", "Values in the current incomplete batch.", int64(db.Stats().PendingInserts))
 	gauge("f2db_invalid_models", "Models awaiting re-estimation.", int64(db.InvalidCount()))
 
-	// Per-write-stripe depth and contention, one labeled family each.
-	gauge("f2db_write_stripes", "Write stripes sharding the pending batch.", int64(m.WriteStripes))
-	fmt.Fprintf(w, "# HELP f2db_stripe_pending Pending-batch depth per write stripe.\n")
-	fmt.Fprintf(w, "# TYPE f2db_stripe_pending gauge\n")
-	for i, p := range m.StripePending {
-		fmt.Fprintf(w, "f2db_stripe_pending{stripe=\"%d\"} %d\n", i, p)
-	}
-	fmt.Fprintf(w, "# HELP f2db_stripe_lock_contention_total Contended stripe-lock acquisitions.\n")
-	fmt.Fprintf(w, "# TYPE f2db_stripe_lock_contention_total counter\n")
-	for i, c := range m.StripeContention {
-		fmt.Fprintf(w, "f2db_stripe_lock_contention_total{stripe=\"%d\"} %d\n", i, c)
-	}
-	if len(m.ForecastShardEntries) > 0 {
-		fmt.Fprintf(w, "# HELP f2db_forecast_shard_entries Memo entries per forecast-cache shard.\n")
-		fmt.Fprintf(w, "# TYPE f2db_forecast_shard_entries gauge\n")
-		for i, n := range m.ForecastShardEntries {
-			fmt.Fprintf(w, "f2db_forecast_shard_entries{shard=\"%d\"} %d\n", i, n)
-		}
-	}
+	counter("f2db_pending_lock_contention_total", "Contended acquisitions of the pending-batch mutex.", db.pendingContention.Load())
 
 	// Query latency as a cumulative Prometheus histogram.
 	WritePromHistogram(w, "f2db_query_latency_seconds", "Per-forecast latency.", m.QueryLatency)

@@ -22,14 +22,8 @@ import (
 //
 // Writers only ever pay O(affected nodes) atomic increments; stale entries
 // are reclaimed lazily at overwrite or by the eviction sweep when the table
-// reaches capacity.
-//
-// The entry table is sharded with the engine's write stripes (stripe.go):
-// each shard owns its own map, RWMutex and capacity slice, and a node's
-// entries all live in the shard its ID hashes to. Memo lookups and stores
-// on different shards never contend, and an eviction sweep stalls one
-// shard, not the whole table. The epoch array is shared — it is lock-free
-// and per-node already.
+// reaches capacity. The entry map sits behind one RWMutex (lookups share
+// it); the epoch array is lock-free and per-node.
 
 // fcKey identifies one memoized forecast.
 type fcKey struct {
@@ -47,54 +41,25 @@ type fcEntry struct {
 	lo, hi []float64
 }
 
-// fcShard is one shard of the memo table: its own map behind its own
-// RWMutex (lookups under RLock), holding the entries of the nodes hashed
-// to it.
-type fcShard struct {
-	mu    sync.RWMutex
-	items map[fcKey]fcEntry
-}
-
-// fcCache is the epoch-guarded, sharded forecast memo table. Epoch bumps
-// are lock-free; entry maps are guarded per shard.
+// fcCache is the epoch-guarded forecast memo table. Epoch bumps are
+// lock-free; the entry map and its capacity are guarded by mu.
 type fcCache struct {
-	epochs []atomic.Uint64 // one per graph node
-	shards []fcShard
-	// shardCap is the per-shard capacity slice. Atomic because setCapacity
-	// may resize it while queries run put on other shards.
-	shardCap atomic.Int64
-	shift    uint // log2(len(shards)), for stripeIndex routing
+	epochs   []atomic.Uint64 // one per graph node
+	mu       sync.RWMutex
+	items    map[fcKey]fcEntry
+	capacity int
 }
 
-// newFcCache sizes the memo table for a graph with numNodes nodes, sharded
-// `stripes` ways (a power of two, the engine's write-stripe count). The
-// total capacity is sliced evenly across shards.
-func newFcCache(numNodes, capacity, stripes int) *fcCache {
+// newFcCache sizes the memo table for a graph with numNodes nodes.
+func newFcCache(numNodes, capacity int) *fcCache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	if stripes < 1 {
-		stripes = 1
+	return &fcCache{
+		epochs:   make([]atomic.Uint64, numNodes),
+		items:    make(map[fcKey]fcEntry, capacity/4),
+		capacity: capacity,
 	}
-	shardCap := (capacity + stripes - 1) / stripes
-	if shardCap < 1 {
-		shardCap = 1
-	}
-	c := &fcCache{
-		epochs: make([]atomic.Uint64, numNodes),
-		shards: make([]fcShard, stripes),
-		shift:  stripeShiftFor(stripes),
-	}
-	c.shardCap.Store(int64(shardCap))
-	for i := range c.shards {
-		c.shards[i].items = make(map[fcKey]fcEntry, shardCap/4)
-	}
-	return c
-}
-
-// shardFor returns the shard owning a node's memo entries.
-func (c *fcCache) shardFor(node int) *fcShard {
-	return &c.shards[stripeIndex(node, c.shift)]
 }
 
 // epoch returns the current epoch of a node.
@@ -123,10 +88,9 @@ func (c *fcCache) bumpAll() int64 {
 // a miss (and left for the next store to overwrite).
 func (c *fcCache) get(key fcKey) (point, lo, hi []float64, ok bool) {
 	cur := c.epochs[key.node].Load()
-	sh := c.shardFor(key.node)
-	sh.mu.RLock()
-	e, found := sh.items[key]
-	sh.mu.RUnlock()
+	c.mu.RLock()
+	e, found := c.items[key]
+	c.mu.RUnlock()
 	if !found || e.epoch != cur {
 		return nil, nil, nil, false
 	}
@@ -145,75 +109,57 @@ func (c *fcCache) put(key fcKey, point, lo, hi []float64) (evicted int64) {
 		lo:    cloneFloats(lo),
 		hi:    cloneFloats(hi),
 	}
-	sh := c.shardFor(key.node)
-	shardCap := int(c.shardCap.Load())
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, exists := sh.items[key]; !exists && len(sh.items) >= shardCap {
-		// Capacity sweep, per shard: drop stale-epoch entries first; if
-		// every entry is live the shard is genuinely too small — reset it
-		// rather than tracking LRU order on the query hot path.
-		for k, v := range sh.items {
-			if v.epoch != c.epochs[k.node].Load() {
-				delete(sh.items, k)
-				evicted++
-			}
-		}
-		if len(sh.items) >= shardCap {
-			evicted += int64(len(sh.items))
-			sh.items = make(map[fcKey]fcEntry, shardCap/4)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, exists := c.items[key]; !exists && len(c.items) >= c.capacity {
+		// Capacity sweep: drop stale-epoch entries first; if every entry is
+		// live the table is genuinely too small — reset it rather than
+		// tracking LRU order on the query hot path.
+		evicted = c.dropStaleLocked()
+		if len(c.items) >= c.capacity {
+			evicted += int64(len(c.items))
+			c.items = make(map[fcKey]fcEntry, c.capacity/4)
 		}
 	}
-	sh.items[key] = e
+	c.items[key] = e
 	return evicted
 }
 
-// setCapacity resizes the memo table to hold roughly `capacity` total
-// entries (re-sliced evenly across shards, minimum one per shard). Shards
-// over the new slice drop stale-epoch entries first, then live entries in
-// deterministic sorted-key order. Returns the eviction count.
+// dropStaleLocked deletes every stale-epoch entry and returns how many it
+// deleted. The caller holds mu exclusively.
+func (c *fcCache) dropStaleLocked() (evicted int64) {
+	for k, v := range c.items {
+		if v.epoch != c.epochs[k.node].Load() {
+			delete(c.items, k)
+			evicted++
+		}
+	}
+	return evicted
+}
+
+// setCapacity resizes the memo table to hold `capacity` entries. When
+// over the new capacity it drops stale-epoch entries first, then live
+// entries in deterministic sorted-key order. Returns the eviction count.
 func (c *fcCache) setCapacity(capacity int) (evicted int64) {
 	if capacity < 1 {
 		capacity = 1
 	}
-	stripes := len(c.shards)
-	shardCap := (capacity + stripes - 1) / stripes
-	if shardCap < 1 {
-		shardCap = 1
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.capacity = capacity
+	if len(c.items) > capacity {
+		evicted = c.dropStaleLocked()
 	}
-	c.shardCap.Store(int64(shardCap))
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		if len(sh.items) > shardCap {
-			for k, v := range sh.items {
-				if v.epoch != c.epochs[k.node].Load() {
-					delete(sh.items, k)
-					evicted++
-				}
-			}
+	if over := len(c.items) - capacity; over > 0 {
+		keys := make([]fcKey, 0, len(c.items))
+		for k := range c.items {
+			keys = append(keys, k)
 		}
-		if over := len(sh.items) - shardCap; over > 0 {
-			keys := make([]fcKey, 0, len(sh.items))
-			for k := range sh.items {
-				keys = append(keys, k)
-			}
-			sort.Slice(keys, func(a, b int) bool {
-				x, y := keys[a], keys[b]
-				if x.node != y.node {
-					return x.node < y.node
-				}
-				if x.h != y.h {
-					return x.h < y.h
-				}
-				return x.conf < y.conf
-			})
-			for _, k := range keys[len(keys)-over:] {
-				delete(sh.items, k)
-				evicted++
-			}
+		sortFcKeys(keys)
+		for _, k := range keys[len(keys)-over:] {
+			delete(c.items, k)
+			evicted++
 		}
-		sh.mu.Unlock()
 	}
 	return evicted
 }
@@ -225,16 +171,22 @@ func (c *fcCache) setCapacity(capacity int) (evicted int64) {
 // layer's working set (the memo analogue of plan-text warmup).
 func (c *fcCache) hotKeys(max int) []fcKey {
 	var keys []fcKey
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		for k, e := range sh.items {
-			if e.epoch == c.epochs[k.node].Load() {
-				keys = append(keys, k)
-			}
+	c.mu.RLock()
+	for k, e := range c.items {
+		if e.epoch == c.epochs[k.node].Load() {
+			keys = append(keys, k)
 		}
-		sh.mu.RUnlock()
 	}
+	c.mu.RUnlock()
+	sortFcKeys(keys)
+	if len(keys) > max {
+		keys = keys[:max]
+	}
+	return keys
+}
+
+// sortFcKeys orders memo keys by (node, h, conf).
+func sortFcKeys(keys []fcKey) {
 	sort.Slice(keys, func(i, j int) bool {
 		a, b := keys[i], keys[j]
 		if a.node != b.node {
@@ -245,35 +197,13 @@ func (c *fcCache) hotKeys(max int) []fcKey {
 		}
 		return a.conf < b.conf
 	})
-	if len(keys) > max {
-		keys = keys[:max]
-	}
-	return keys
 }
 
-// size returns the number of memoized entries (live and stale) across all
-// shards.
+// size returns the number of memoized entries (live and stale).
 func (c *fcCache) size() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		n += len(sh.items)
-		sh.mu.RUnlock()
-	}
-	return n
-}
-
-// shardSizes returns the per-shard entry counts (metrics).
-func (c *fcCache) shardSizes() []int {
-	out := make([]int, len(c.shards))
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		out[i] = len(sh.items)
-		sh.mu.RUnlock()
-	}
-	return out
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return len(c.items)
 }
 
 func cloneFloats(s []float64) []float64 {

@@ -2,7 +2,7 @@ package f2db_test
 
 // Race coverage for lazy node materialization inside the engine: readers
 // force on-demand aggregate materialization through forecast queries while
-// concurrent writers advance the cube through the striped write path. Part
+// concurrent writers advance the cube through the shared write path. Part
 // of the CI race-stress suite:
 //
 //	go test -race -run LazyMaterialization ./internal/f2db/
@@ -19,12 +19,12 @@ import (
 	"cubefc/internal/workload"
 )
 
-// TestLazyMaterializationRace opens a striped engine over a lazy graph
+// TestLazyMaterializationRace opens an engine over a lazy graph
 // whose advisor run (sampled) left most aggregates unmaterialized, then
 // storms it: per round, 8 writers apply disjoint parts of one insert batch
 // while 4 readers issue forecasts on random nodes, materializing them
 // mid-advance. Afterwards every node's forecast must be bit-identical to
-// an eager single-stripe engine that applied the same batches sequentially
+// an eager engine that applied the same batches sequentially
 // — materialization timing must never leak into results.
 func TestLazyMaterializationRace(t *testing.T) {
 	const (
@@ -67,11 +67,11 @@ func TestLazyMaterializationRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ldb, err := f2db.Open(lg, lcfg, f2db.Options{Strategy: f2db.Never{}, Stripes: 8})
+	ldb, err := f2db.Open(lg, lcfg, f2db.Options{Strategy: f2db.Never{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	edb, err := f2db.Open(eg, ecfg, f2db.Options{Strategy: f2db.Never{}, Stripes: -1})
+	edb, err := f2db.Open(eg, ecfg, f2db.Options{Strategy: f2db.Never{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -220,18 +220,12 @@ type Metrics struct {
 	ForecastCacheSize      int
 	EpochBumps             int64
 
-	// Write-stripe gauges (see stripe.go). WriteStripes is the stripe
-	// count fixed at Open; StripePending is the current pending-batch
-	// depth per stripe; StripeContention counts stripe-lock acquisitions
-	// that found the lock held (writer-writer contention — the quantity
-	// striping exists to shrink); StripeBases is the number of base series
-	// routed to each stripe (hash balance). ForecastShardEntries is the
-	// per-shard memo-table occupancy (nil when memoization is disabled).
-	WriteStripes         int
-	StripePending        []int
-	StripeContention     []int64
-	StripeBases          []int
-	ForecastShardEntries []int
+	// StripeContention has one element: the number of pending-mutex
+	// acquisitions that found the mutex held (writer-writer contention on
+	// the insert path). It keeps its slice type and name because the
+	// benchmark's f2db.stripe_contention metric (perfbench/layers.go) sums
+	// it.
+	StripeContention []int64
 
 	// Durability counters (zero on a non-durable engine): WAL record
 	// appends, fsyncs and bytes written, live WAL file count, batches
@@ -258,6 +252,7 @@ func (db *DB) Metrics() Metrics {
 		Batches:              db.met.batches.Load(),
 		Reestimations:        db.met.reestimations.Load(),
 		ReestimateGenRetries: db.met.reestimateGenRetries.Load(),
+		StripeContention:     []int64{db.pendingContention.Load()},
 		QueryTime:            time.Duration(db.met.queryNanos.Load()),
 		MaintainTime:         time.Duration(db.met.maintainNanos.Load()),
 		SchemeHits:           make(map[string]int64, derivationKinds),
@@ -287,17 +282,6 @@ func (db *DB) Metrics() Metrics {
 	}
 	if db.fc != nil {
 		m.ForecastCacheSize = db.fc.size()
-		m.ForecastShardEntries = db.fc.shardSizes()
-	}
-	m.WriteStripes = len(db.stripes)
-	m.StripePending = make([]int, len(db.stripes))
-	m.StripeContention = make([]int64, len(db.stripes))
-	m.StripeBases = make([]int, len(db.stripes))
-	for i := range db.stripes {
-		s := &db.stripes[i]
-		m.StripePending[i] = int(s.depth.Load())
-		m.StripeContention[i] = s.contention.Load()
-		m.StripeBases[i] = s.bases
 	}
 	for i := 0; i < derivationKinds; i++ {
 		if c := db.met.schemeHits[i].Load(); c > 0 {
@@ -323,17 +307,6 @@ func (m Metrics) String() string {
 			m.WALAppends, m.WALSyncs, m.WALBytes, m.WALFiles, m.WALReplayedBatches)
 		out += fmt.Sprintf("segments: compactions=%d bytes=%d snapshot-writes=%d\n",
 			m.SegmentCompactions, m.SegmentBytes, m.SnapshotWrites)
-	}
-	if m.WriteStripes > 0 {
-		var pending, contention int64
-		for _, p := range m.StripePending {
-			pending += int64(p)
-		}
-		for _, c := range m.StripeContention {
-			contention += c
-		}
-		out += fmt.Sprintf("write-stripes: count=%d pending=%d lock-contention=%d\n",
-			m.WriteStripes, pending, contention)
 	}
 	if len(m.SchemeHits) > 0 {
 		out += "scheme-hits:"

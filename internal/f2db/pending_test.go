@@ -2,10 +2,12 @@ package f2db
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,20 +16,23 @@ import (
 	"time"
 )
 
-// Tests for the striped write path (stripe.go, DESIGN.md §6). The twin
-// tests run the striped engine under concurrent writers and readers and
-// demand results byte-identical to a sequential single-stripe reference —
-// the strongest statement that striping is a pure performance change. They
-// are part of the CI race-stress suite:
+// Tests for the pending insert batch (db.go, DESIGN.md §6): one buffer
+// behind one mutex, drained by the batch advance under the engine write
+// lock. The twin tests run the engine under concurrent writers and readers
+// and demand results byte-identical to a sequential reference fed the same
+// batches. They are part of the CI race-stress suite:
 //
-//	go test -race -run 'Stripe|Concurrency' -count=3 ./internal/f2db/
+//	go test -race -run 'Stripe|SaveDatabaseInsertBatch' -count=3 ./internal/f2db/
+//
+// The TestStripe* names date from when the batch was sharded into write
+// stripes; they are kept so each test keeps its identity across history.
 
-// stripedTwins clones one engine into a striped instance and a
-// single-stripe sequential reference. Both use the Never invalidation
+// concurrentTwins clones one engine into two instances: one the test feeds
+// concurrently and a sequential reference. Both use the Never invalidation
 // strategy: lazy re-estimation is triggered by query timing, so any
 // time-based strategy would make concurrent runs nondeterministic by
 // design; with Never the two engines must match bit for bit.
-func stripedTwins(t *testing.T, stripes int) (striped, seq *DB) {
+func concurrentTwins(t *testing.T) (conc, seq *DB) {
 	t.Helper()
 	src, _, _ := testEngine(t, nil)
 	var buf bytes.Buffer
@@ -35,30 +40,25 @@ func stripedTwins(t *testing.T, stripes int) (striped, seq *DB) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	striped, err := LoadDatabase(bytes.NewReader(data), Options{Strategy: Never{}, Stripes: stripes})
+	conc, err := LoadDatabase(bytes.NewReader(data), Options{Strategy: Never{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err = LoadDatabase(bytes.NewReader(data), Options{Strategy: Never{}, Stripes: -1})
+	seq, err = LoadDatabase(bytes.NewReader(data), Options{Strategy: Never{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return striped, seq
+	return conc, seq
 }
 
 // splitRoundRobin deals a batch's values over n sub-batches in ascending
-// ID order (IDs are hash-routed to stripes, so round-robin dealing spreads
-// every sub-batch over many stripes).
+// ID order, so every writer's sub-batch interleaves with the others'.
 func splitRoundRobin(batch map[int]float64, n int) []map[int]float64 {
 	ids := make([]int, 0, len(batch))
 	for id := range batch {
 		ids = append(ids, id)
 	}
-	for i := 1; i < len(ids); i++ { // insertion sort; tiny n
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	sort.Ints(ids)
 	parts := make([]map[int]float64, n)
 	for i := range parts {
 		parts[i] = make(map[int]float64)
@@ -69,11 +69,11 @@ func splitRoundRobin(batch map[int]float64, n int) []map[int]float64 {
 	return parts
 }
 
-// TestStripeTwinEngines is the central striping correctness check: a
-// striped engine fed by 8 concurrent writers with 4 concurrent readers in
-// flight must end every round in exactly the state a single-stripe engine
-// reaches applying the same batches sequentially — byte-identical
-// forecasts for every node and horizon, and identical Stats counters.
+// TestStripeTwinEngines is the central write-path correctness check: an
+// engine fed by 8 concurrent writers with 4 concurrent readers in flight
+// must end every round in exactly the state a twin reaches applying the
+// same batches sequentially — byte-identical forecasts for every node and
+// horizon, and identical Stats counters.
 func TestStripeTwinEngines(t *testing.T) {
 	const (
 		rounds           = 5
@@ -81,7 +81,7 @@ func TestStripeTwinEngines(t *testing.T) {
 		readers          = 4
 		queriesPerReader = 25
 	)
-	striped, seq := stripedTwins(t, writers)
+	striped, seq := concurrentTwins(t)
 	numNodes := striped.Graph().NumNodes()
 
 	for round := 0; round < rounds; round++ {
@@ -164,12 +164,12 @@ func TestStripeTwinEngines(t *testing.T) {
 // TestStripeInsertBaseConcurrent free-runs one InsertBase producer per base
 // series with no cross-producer synchronization: a producer that laps the
 // batch gets a duplicate error and must retry until the slower producers
-// complete the advance. This hammers the generation-retry protocol the
-// stripes use to distinguish "genuine duplicate" from "batch advanced
-// under me".
+// complete the advance. This hammers the duplicate check that tells a
+// genuine duplicate from a value offered against a complete batch that has
+// not advanced yet (help advance, then retry).
 func TestStripeInsertBaseConcurrent(t *testing.T) {
 	const rounds = 20
-	striped, seq := stripedTwins(t, 8)
+	striped, seq := concurrentTwins(t)
 	ids := striped.Graph().BaseIDs()
 
 	var wg sync.WaitGroup
@@ -235,24 +235,21 @@ func TestStripeInsertBaseConcurrent(t *testing.T) {
 	}
 }
 
-// TestStripeAdvanceInsertRace hammers the one window the other harnesses
-// barely reach: inserts landing while an advance is mid-sweep. Writers are
-// partitioned over the base series and free-run through many consecutive
-// batches with no barrier per advance, so a fast writer's next-batch value
-// routinely arrives in a stripe the in-flight advance has already swept. A
-// lost pendingTotal update in that window wedges the engine — the
-// completion check never fires again and every insert reports a spurious
-// duplicate — so each writer gives up after a deadline instead of retrying
-// forever, turning the wedge into a test failure rather than a hang.
+// TestStripeAdvanceInsertRace hammers inserts landing while an advance is
+// in flight. Writers are partitioned over the base series and free-run
+// through many consecutive batches with no barrier per advance, so a fast
+// writer's next-batch value routinely arrives while the previous batch is
+// being applied. An advance that lost or mis-counted such a value would
+// wedge the engine — the completion check never fires again and every
+// insert reports a spurious duplicate — so each writer gives up after a
+// deadline instead of retrying forever, turning the wedge into a test
+// failure rather than a hang.
 func TestStripeAdvanceInsertRace(t *testing.T) {
 	const (
 		rounds  = 300
 		writers = 4
 	)
-	// Max out the stripe count: the advance sweep visits every stripe in
-	// turn, so more stripes stretch the sweep and with it the window in
-	// which a racing insert can land in an already-swept stripe.
-	striped, _ := stripedTwins(t, maxWriteStripes)
+	striped, _ := concurrentTwins(t)
 	ids := striped.Graph().BaseIDs()
 	len0 := striped.Graph().Length()
 
@@ -312,79 +309,8 @@ func TestStripeAdvanceInsertRace(t *testing.T) {
 	}
 }
 
-// TestStripeAdvanceCounterRace pins the lost-update window deterministically:
-// via the test hook it lands an insert inside an in-flight advance, after
-// the sweep has cleared the stripe buffers but before the pending counter
-// is rebalanced. The racing value's increment must survive the advance —
-// resetting the counter to zero instead of decrementing by the collected
-// count would erase it, leave pendingTotal permanently undercounting the
-// buffers, and wedge the engine: the next complete batch would never
-// advance and every further insert would report a spurious duplicate.
-func TestStripeAdvanceCounterRace(t *testing.T) {
-	db, _, _ := testEngine(t, nil)
-	ids := db.Graph().BaseIDs()
-	racedID := ids[0]
-
-	numBases := int64(len(ids))
-	fired := false
-	var racer sync.WaitGroup
-	var racerErr error
-	db.testHookAfterSweep = func() {
-		db.testHookAfterSweep = nil // fire on the first advance only
-		fired = true
-		// The racing insert must run on its own goroutine: the buffers
-		// still hold the full batch's count, so after landing its value the
-		// racer tries to help-advance and blocks on the write lock until
-		// the in-flight advance completes (exactly what a free-running
-		// producer does in this window). The hook only waits for the
-		// value's increment to land — i.e. for the race to be established —
-		// before letting the advance proceed to the counter rebalance.
-		racer.Add(1)
-		go func() {
-			defer racer.Done()
-			racerErr = db.InsertBase(racedID, 90)
-		}()
-		for db.pendingTotal.Load() <= numBases {
-			runtime.Gosched()
-		}
-	}
-	for _, id := range ids {
-		if err := db.InsertBase(id, 80); err != nil {
-			t.Fatal(err)
-		}
-	}
-	racer.Wait()
-	if racerErr != nil {
-		t.Fatalf("racing insert: %v", racerErr)
-	}
-	if !fired {
-		t.Fatal("advance hook never fired")
-	}
-	if got := db.Stats().Batches; got != 1 {
-		t.Fatalf("batches = %d, want 1", got)
-	}
-	if p := db.Stats().PendingInserts; p != 1 {
-		t.Fatalf("pending = %d after raced advance, want 1 (raced increment lost)", p)
-	}
-
-	// The next batch must still complete and advance: the raced value is
-	// part of it, and its surviving increment is what lets the completion
-	// check fire.
-	for _, id := range ids[1:] {
-		if err := db.InsertBase(id, 90); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := db.Stats().Batches; got != 2 {
-		t.Fatalf("batches = %d, want 2: advance never fired after raced insert", got)
-	}
-	if p := db.Stats().PendingInserts; p != 0 {
-		t.Fatalf("pending = %d, want 0", p)
-	}
-}
-
 // TestStripeAdvanceQuickProperty drives random InsertBatch interleavings
-// across stripes with testing/quick and checks the two advance invariants:
+// with testing/quick and checks the two advance invariants:
 // time never moves until a value has arrived for every base series, and
 // when it does move, every node's memo epoch is bumped exactly once.
 func TestStripeAdvanceQuickProperty(t *testing.T) {
@@ -395,11 +321,8 @@ func TestStripeAdvanceQuickProperty(t *testing.T) {
 	}
 	data := buf.Bytes()
 
-	prop := func(seed int64, stripeSel uint8) bool {
-		db, err := LoadDatabase(bytes.NewReader(data), Options{
-			Strategy: Never{},
-			Stripes:  1 << (stripeSel % 4), // 1, 2, 4 or 8 stripes
-		})
+	prop := func(seed int64) bool {
+		db, err := LoadDatabase(bytes.NewReader(data), Options{Strategy: Never{}})
 		if err != nil {
 			t.Error(err)
 			return false
@@ -409,7 +332,7 @@ func TestStripeAdvanceQuickProperty(t *testing.T) {
 		rng.Shuffle(len(ids), func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
 
 		// Cut the shuffled IDs into 1..len random contiguous parts: one
-		// random interleaving of partial batches across the stripes.
+		// random sequence of partial batches.
 		var parts [][]int
 		for len(ids) > 0 {
 			n := 1 + rng.Intn(len(ids))
@@ -478,29 +401,33 @@ func TestStripeAdvanceQuickProperty(t *testing.T) {
 }
 
 // TestStripeDuplicateSemantics: a value for a base series already pending
-// in the current batch is an error on both write paths, exactly as with
-// the single pending map, and does not disturb the pending count.
+// in the current batch is an error on both write paths and does not
+// disturb the pending count. InsertBatch applies values in ascending ID
+// order, so exactly the values before the duplicate stay pending.
 func TestStripeDuplicateSemantics(t *testing.T) {
 	db, _, _ := testEngine(t, nil)
-	ids := db.Graph().BaseIDs()
+	ids := append([]int(nil), db.Graph().BaseIDs()...)
+	sort.Ints(ids)
 
-	if err := db.InsertBase(ids[0], 50); err != nil {
+	if err := db.InsertBase(ids[1], 50); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.InsertBase(ids[0], 51); err == nil || !strings.Contains(err.Error(), "duplicate") {
+	if err := db.InsertBase(ids[1], 51); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("duplicate InsertBase: err = %v", err)
 	}
-	if err := db.InsertBatch(map[int]float64{ids[0]: 52, ids[1]: 53}); err == nil ||
+	if err := db.InsertBatch(map[int]float64{ids[0]: 52, ids[1]: 53, ids[2]: 54}); err == nil ||
 		!strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("duplicate InsertBatch: err = %v", err)
 	}
-	// Values routed before the duplicate stuck remain pending (documented
-	// InsertBatch semantics); which ones depends on stripe order, so finish
-	// the batch per value, tolerating duplicates for those already landed.
-	for _, id := range ids[1:] {
-		if err := db.InsertBase(id, 54); err != nil && !strings.Contains(err.Error(), "duplicate") {
-			t.Fatal(err)
-		}
+	if p := db.Stats().PendingInserts; p != 2 {
+		t.Fatalf("pending = %d after duplicate InsertBatch, want 2 (ids[0] applied, ids[2] not)", p)
+	}
+	rest := make(map[int]float64)
+	for _, id := range ids[2:] {
+		rest[id] = 55
+	}
+	if err := db.InsertBatch(rest); err != nil {
+		t.Fatal(err)
 	}
 	if got := db.Stats().Batches; got != 1 {
 		t.Fatalf("batches = %d, want 1", got)
@@ -508,11 +435,37 @@ func TestStripeDuplicateSemantics(t *testing.T) {
 	if p := db.Stats().PendingInserts; p != 0 {
 		t.Fatalf("pending = %d, want 0", p)
 	}
+	// A duplicate offered against a complete batch is not an error: the
+	// call helps apply the advance and lands in the next batch. The hook
+	// refuses the first commit, leaving a complete batch pending.
+	refuse := true
+	db.commitHook = func(uint64, map[int]float64) error {
+		if refuse {
+			refuse = false
+			return fmt.Errorf("commit refused")
+		}
+		return nil
+	}
+	full := fullBatch(db, 1)
+	if err := db.InsertBatch(full); err == nil || !strings.Contains(err.Error(), "commit refused") {
+		t.Fatalf("refused commit: err = %v", err)
+	}
+	if p := db.Stats().PendingInserts; p != len(ids) {
+		t.Fatalf("pending = %d after refused commit, want %d (every value kept)", p, len(ids))
+	}
+	if err := db.InsertBase(ids[0], 60); err != nil {
+		t.Fatalf("insert against a complete batch: %v", err)
+	}
+	if got := db.Stats().Batches; got != 2 {
+		t.Fatalf("batches = %d, want 2", got)
+	}
+	if p := db.Stats().PendingInserts; p != 1 {
+		t.Fatalf("pending = %d, want 1 (the retried value)", p)
+	}
 }
 
 // TestStripeSnapshotMidBatch: a snapshot taken with a half-filled batch
-// restores its pending values into any stripe layout — the stripe count is
-// a runtime knob, not part of the image format.
+// restores its pending values, and the restored batch completes normally.
 func TestStripeSnapshotMidBatch(t *testing.T) {
 	src, _, _ := testEngine(t, nil)
 	ids := src.Graph().BaseIDs()
@@ -525,26 +478,123 @@ func TestStripeSnapshotMidBatch(t *testing.T) {
 	if err := SaveDatabase(&buf, src); err != nil {
 		t.Fatal(err)
 	}
-	for _, stripes := range []int{-1, 2, 8} {
-		db, err := LoadDatabase(bytes.NewReader(buf.Bytes()), Options{Stripes: stripes})
-		if err != nil {
+	db, err := LoadDatabase(bytes.NewReader(buf.Bytes()), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := db.Stats().PendingInserts; p != 3 {
+		t.Fatalf("pending = %d after restore, want 3", p)
+	}
+	rest := make(map[int]float64)
+	for _, id := range ids[3:] {
+		rest[id] = 62
+	}
+	wantLen := db.Graph().Length() + 1
+	if err := db.InsertBatch(rest); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Graph().Length(); got != wantLen {
+		t.Fatalf("length %d, want %d", got, wantLen)
+	}
+}
+
+// TestSaveDatabaseInsertBatchAtomic races SaveDatabase against concurrent
+// InsertBatch calls that do not complete a batch. Such a call holds the
+// pending mutex for its whole duration, so every image must hold each
+// call's values all or none.
+func TestSaveDatabaseInsertBatchAtomic(t *testing.T) {
+	const rounds = 1000
+	db, _, _ := testEngine(t, nil)
+	ids := append([]int(nil), db.Graph().BaseIDs()...)
+	sort.Ints(ids)
+	last := ids[len(ids)-1]
+	// Three writers over interleaved ID groups; the last base series is
+	// left out so no call completes the batch.
+	groups := make([][]string, 3)
+	calls := make([]map[int]float64, 3)
+	for i := range calls {
+		calls[i] = make(map[int]float64)
+	}
+	for i, id := range ids[:len(ids)-1] {
+		w := i % len(calls)
+		calls[w][id] = 70 + float64(i)
+		groups[w] = append(groups[w], db.Graph().NodeKey(id))
+	}
+
+	// The saver snapshots continuously while the rounds below run.
+	stop := make(chan struct{})
+	saverErr := make(chan error, 1)
+	var images, mixed int
+	go func() {
+		for {
+			select {
+			case <-stop:
+				saverErr <- nil
+				return
+			default:
+			}
+			var buf bytes.Buffer
+			if err := SaveDatabase(&buf, db); err != nil {
+				saverErr <- err
+				return
+			}
+			var img dbImage
+			if err := gob.NewDecoder(&buf).Decode(&img); err != nil {
+				saverErr <- err
+				return
+			}
+			images++
+			whole := 0
+			for w, keys := range groups {
+				n := 0
+				for _, k := range keys {
+					if _, ok := img.Pending[k]; ok {
+						n++
+					}
+				}
+				if n != 0 && n != len(keys) {
+					saverErr <- fmt.Errorf("image holds %d of call %d's %d values", n, w, len(keys))
+					return
+				}
+				if n > 0 {
+					whole++
+				}
+			}
+			if whole > 0 && whole < len(groups) {
+				mixed++
+			}
+		}
+	}()
+
+	for r := 0; r < rounds; r++ {
+		var writers sync.WaitGroup
+		errs := make([]error, len(calls))
+		for w := range calls {
+			writers.Add(1)
+			go func(w int) {
+				defer writers.Done()
+				errs[w] = db.InsertBatch(calls[w])
+			}(w)
+		}
+		writers.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Complete the batch so the next round starts from an empty one.
+		if err := db.InsertBase(last, 1); err != nil {
 			t.Fatal(err)
-		}
-		if p := db.Stats().PendingInserts; p != 3 {
-			t.Fatalf("stripes=%d: pending = %d after restore, want 3", stripes, p)
-		}
-		rest := make(map[int]float64)
-		for _, id := range ids[3:] {
-			rest[id] = 62
-		}
-		wantLen := db.Graph().Length() + 1
-		if err := db.InsertBatch(rest); err != nil {
-			t.Fatal(err)
-		}
-		if got := db.Graph().Length(); got != wantLen {
-			t.Fatalf("stripes=%d: length %d, want %d", stripes, got, wantLen)
 		}
 	}
+	close(stop)
+	if err := <-saverErr; err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Stats().Batches; got != rounds {
+		t.Fatalf("batches = %d, want %d", got, rounds)
+	}
+	t.Logf("%d images, %d caught some calls of a round but not all", images, mixed)
 }
 
 // TestStripeGuardWitness: exclusive-only paths must refuse to run without
@@ -577,61 +627,9 @@ func TestStripeGuardWitness(t *testing.T) {
 	db.unlock(g)
 }
 
-// TestStripeRouting pins the routing function's contract: deterministic,
-// in-range for every stripe count, total over the base set, and degenerate
-// to stripe 0 for a single stripe.
-func TestStripeRouting(t *testing.T) {
-	for _, n := range []int{1, 2, 4, 8, 64, 256} {
-		shift := stripeShiftFor(n)
-		if 1<<shift != n {
-			t.Fatalf("stripeShiftFor(%d) = %d", n, shift)
-		}
-		for id := 0; id < 2048; id++ {
-			si := stripeIndex(id, shift)
-			if si < 0 || si >= n {
-				t.Fatalf("stripeIndex(%d, %d) = %d out of [0,%d)", id, shift, si, n)
-			}
-			if si != stripeIndex(id, shift) {
-				t.Fatalf("stripeIndex not deterministic for id %d", id)
-			}
-			if n == 1 && si != 0 {
-				t.Fatalf("single stripe must route everything to 0, got %d", si)
-			}
-		}
-	}
-
-	for opt, want := range map[int]int{-5: 1, -1: 1, 1: 1, 2: 2, 3: 4, 5: 8, 8: 8, 200: 256, 10000: 256} {
-		if got := resolveStripeCount(opt); got != want {
-			t.Fatalf("resolveStripeCount(%d) = %d, want %d", opt, got, want)
-		}
-	}
-	auto := resolveStripeCount(0)
-	if auto < 1 || auto > maxWriteStripes || auto&(auto-1) != 0 {
-		t.Fatalf("resolveStripeCount(0) = %d: not a bounded power of two", auto)
-	}
-
-	// The per-stripe base counts reported by Metrics must agree with the
-	// routing function and cover every base series.
-	db, _, _ := testEngine(t, nil)
-	m := db.Metrics()
-	want := make([]int, m.WriteStripes)
-	for _, id := range db.Graph().BaseIDs() {
-		want[stripeIndex(id, db.stripeShift)]++
-	}
-	total := 0
-	for i, b := range m.StripeBases {
-		if b != want[i] {
-			t.Fatalf("stripe %d: bases = %d, want %d", i, b, want[i])
-		}
-		total += b
-	}
-	if total != db.Graph().NumBase() {
-		t.Fatalf("stripe bases sum to %d, want %d", total, db.Graph().NumBase())
-	}
-}
-
-// TestStripeMetrics: per-stripe pending depths must track the pending
-// counter through partial fills and an advance.
+// TestStripeMetrics: the pending count tracks partial fills and an
+// advance, and StripeContention reports contended acquisitions of the
+// pending mutex in its one element.
 func TestStripeMetrics(t *testing.T) {
 	db, _, _ := testEngine(t, nil)
 	ids := db.Graph().BaseIDs()
@@ -640,25 +638,43 @@ func TestStripeMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if p := db.Stats().PendingInserts; p != 5 {
+		t.Fatalf("pending = %d, want 5", p)
+	}
 	m := db.Metrics()
-	sum := 0
-	for _, p := range m.StripePending {
-		sum += p
+	if len(m.StripeContention) != 1 || m.StripeContention[0] != 0 {
+		t.Fatalf("contention = %v, want [0] after uncontended inserts", m.StripeContention)
 	}
-	if sum != 5 || db.Stats().PendingInserts != 5 {
-		t.Fatalf("stripe pending sums to %d (stats %d), want 5", sum, db.Stats().PendingInserts)
+
+	// Hold the pending mutex so the next insert must wait for it: the
+	// insert counts its contended acquisition before blocking.
+	db.pmu.Lock()
+	errc := make(chan error, 1)
+	go func() { errc <- db.InsertBase(ids[5], 47) }()
+	for db.Metrics().StripeContention[0] != 1 {
+		runtime.Gosched()
 	}
+	db.pmu.Unlock()
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+
 	rest := make(map[int]float64)
-	for _, id := range ids[5:] {
+	for _, id := range ids[6:] {
 		rest[id] = 48
 	}
 	if err := db.InsertBatch(rest); err != nil {
 		t.Fatal(err)
 	}
-	m = db.Metrics()
-	for i, p := range m.StripePending {
-		if p != 0 {
-			t.Fatalf("stripe %d pending = %d after advance", i, p)
-		}
+	if p := db.Stats().PendingInserts; p != 0 {
+		t.Fatalf("pending = %d after advance, want 0", p)
+	}
+	if got := db.Metrics().StripeContention; len(got) != 1 || got[0] != 1 {
+		t.Fatalf("contention = %v, want [1]", got)
+	}
+	var prom bytes.Buffer
+	writePrometheus(&prom, db)
+	if !strings.Contains(prom.String(), "f2db_pending_lock_contention_total 1\n") {
+		t.Fatalf("exposition lacks the pending-lock contention counter:\n%s", prom.String())
 	}
 }

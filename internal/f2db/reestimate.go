@@ -14,12 +14,12 @@ import (
 // the lock:
 //
 //  1. Snapshot under the shared lock: clone the node's series and model and
-//     read the batch-advance generation counter.
+//     read the generation (the series length, graph.Length).
 //  2. Fit the clone outside any lock, warm-started from the model's own
 //     previous parameters (unless Options.ColdRefit).
-//  3. Install under the write lock — but only if the generation counter is
+//  3. Install under the write lock — but only if the generation is
 //     unchanged. Every mutation of series or model state happens in
-//     advanceBatch, which increments advanceGen under the same write lock
+//     advanceBatch, which advances graph.Length under the same write lock
 //     before touching either; so an unchanged generation proves the live
 //     series and model still equal the snapshot, making the fitted clone a
 //     current replacement, never a stale one. On a mismatch the worker
@@ -80,7 +80,7 @@ func (db *DB) invalidSources(nodes []int) []int {
 
 // reestimateMany re-fits the models at the given nodes using the off-lock
 // protocol, fanned out over a worker pool bounded by Options.Parallelism.
-// The caller must hold no engine or stripe lock. Nodes whose re-fit keeps
+// The caller must hold neither the engine lock nor the pending mutex. Nodes whose re-fit keeps
 // colliding with concurrent advances (or whose fit fails) stay invalid for
 // the lazy under-lock path.
 func (db *DB) reestimateMany(ids []int) {
@@ -131,7 +131,7 @@ func (db *DB) reestimateNode(id int) bool {
 			db.unlock(g)
 			return false
 		}
-		gen := db.advanceGen.Load()
+		gen := db.graph.Length
 		series := db.graph.Node(id).Series.Clone()
 		clone, err := forecast.Clone(m)
 		db.unlock(g)
@@ -154,7 +154,7 @@ func (db *DB) reestimateNode(id int) bool {
 		}
 
 		wg := db.wLock()
-		if db.advanceGen.Load() != gen {
+		if db.graph.Length != gen {
 			// A batch advanced while we fitted: the clone was estimated on
 			// a superseded series/state snapshot. Installing it would
 			// silently discard the newest observations, so drop it and

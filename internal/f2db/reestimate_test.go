@@ -178,7 +178,7 @@ func TestOffLockReestimateStress(t *testing.T) {
 						return
 					}
 				}
-				for eager.advanceGen.Load() < uint64(s+1) {
+				for eager.Stats().Batches < s+1 {
 					time.Sleep(50 * time.Microsecond)
 				}
 			}

@@ -41,8 +41,7 @@ func (db *DB) SetPlanCacheCapacity(entries int) int {
 	return evicted
 }
 
-// SetForecastCacheCapacity resizes the forecast memo table (re-sliced
-// across its shards), evicting stale entries first and then live entries
+// SetForecastCacheCapacity resizes the forecast memo table, evicting stale entries first and then live entries
 // in deterministic key order. It returns the eviction count and is a
 // no-op when memoization is disabled.
 func (db *DB) SetForecastCacheCapacity(entries int) int {

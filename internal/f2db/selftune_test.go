@@ -110,10 +110,9 @@ func TestSetPlanCacheCapacityShrinkEvictsLRU(t *testing.T) {
 }
 
 func TestSetForecastCacheCapacityShrink(t *testing.T) {
-	// Single stripe so the per-shard capacity math is exact: capacity 1
-	// must leave at most one live entry.
+	// Capacity 1 must leave at most one live entry.
 	_, g, cfg := testEngine(t, nil)
-	db, err := Open(g, cfg, Options{Stripes: -1})
+	db, err := Open(g, cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,33 +86,17 @@ func SaveDatabase(w io.Writer, db *DB) error {
 // durability layer uses it to capture a snapshot and its generation under
 // a single exclusive acquisition, so no advance can slip between them.
 func saveDatabaseLocked(w io.Writer, db *DB, _ guard) error {
-	// Copy the in-flight batch under ALL stripe locks at once, acquired in
-	// index order (lock order: mu before any stripe mutex; nothing else
-	// ever holds two stripe locks, so ordered acquisition cannot deadlock).
-	// Holding the shared engine lock pins the batch advance (it needs mu
-	// exclusively), and holding every stripe lock makes the copy one
-	// point-in-time cut across stripes rather than a stripe-by-stripe walk
-	// that concurrent inserts could interleave with. Note the guarantee is
-	// per *value*, not per InsertBatch call: a striped InsertBatch applies
-	// its values stripe group by stripe group without holding all its locks
-	// at once, so a snapshot racing an InsertBatch may capture some of that
-	// call's values and not others — weaker than the old single pending-map
-	// lock, which made the copy atomic with an entire InsertBatch call. The
-	// stripe count is a runtime tuning knob, not data: the image stays a
-	// flat member-key map, so a snapshot taken with one stripe layout
-	// restores under any other.
-	for i := range db.stripes {
-		db.stripes[i].lock()
+	// Copy the in-flight batch under the pending mutex (lock order: mu
+	// before pmu). Holding the engine lock pins the batch advance (it needs
+	// mu exclusively), and an InsertBatch call that does not complete a
+	// batch holds pmu for its whole duration, so the copy captures each
+	// such call whole or not at all.
+	db.lockPending()
+	pending := make(map[int]float64, len(db.pending))
+	for id, v := range db.pending {
+		pending[id] = v
 	}
-	pending := make(map[int]float64, len(db.graph.BaseIDs))
-	for i := range db.stripes {
-		for id, v := range db.stripes[i].pending {
-			pending[id] = v
-		}
-	}
-	for i := range db.stripes {
-		db.stripes[i].mu.Unlock()
-	}
+	db.pmu.Unlock()
 
 	img := dbImage{
 		Dims:         db.graph.Dims,

@@ -70,9 +70,8 @@ type Result struct {
 //
 // with one member value per dimension in schema order. Inserts are batched
 // by the maintenance processor (Section V); a multi-row INSERT takes the
-// batched write path (InsertBatch), which routes the rows to their write
-// stripes and locks each stripe once for the whole statement instead of
-// once per row.
+// batched write path (InsertBatch), which locks the pending batch once for
+// the whole statement instead of once per row.
 func (db *DB) Exec(sql string) error {
 	stmt, err := parseInsert(sql)
 	if err != nil {

@@ -24,7 +24,7 @@ import (
 
 // twinEngines builds a small 2-dimensional cube, runs the advisor once, and
 // clones the engine through a snapshot into two independent instances: one
-// striped (served over the wire) and one sequential reference. The model
+// served over the wire and one sequential reference. The model
 // configuration is frozen (Strategy Never) so forecasts are a pure function
 // of the series state both engines should agree on.
 func twinEngines(t testing.TB) (served, twin *f2db.DB, g *cube.Graph) {
@@ -65,11 +65,11 @@ func twinEngines(t testing.TB) (served, twin *f2db.DB, g *cube.Graph) {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
-	served, err = f2db.LoadDatabase(bytes.NewReader(data), f2db.Options{Strategy: f2db.Never{}, Stripes: 8})
+	served, err = f2db.LoadDatabase(bytes.NewReader(data), f2db.Options{Strategy: f2db.Never{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin, err = f2db.LoadDatabase(bytes.NewReader(data), f2db.Options{Strategy: f2db.Never{}, Stripes: -1})
+	twin, err = f2db.LoadDatabase(bytes.NewReader(data), f2db.Options{Strategy: f2db.Never{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,7 +111,7 @@ func baseQueries(horizon int) []string {
 // against concurrent actuation.
 func TestSelfTuningResultInvariance(t *testing.T) {
 	data := buildSnapshot(t)
-	opts := f2db.Options{Strategy: f2db.TimeBased{Every: 2}, Stripes: 4}
+	opts := f2db.Options{Strategy: f2db.TimeBased{Every: 2}}
 	tuned := loadTwin(t, data, opts)
 	plain := loadTwin(t, data, opts)
 
@@ -195,7 +195,7 @@ func TestSelfTuningResultInvariance(t *testing.T) {
 // as the untuned control (the BENCH_f2db.json "selftune" scenario).
 func TestSpikeOnsetHitRate(t *testing.T) {
 	data := buildSnapshot(t)
-	opts := f2db.Options{Stripes: 4} // Strategy Never: pure caching, no refit noise
+	opts := f2db.Options{} // Strategy Never: pure caching, no refit noise
 	tuned := loadTwin(t, data, opts)
 	control := loadTwin(t, data, opts)
 

@@ -180,8 +180,8 @@ type Options struct {
 	PerPointInserts bool
 	// InsertWriters drives each time advance from this many parallel
 	// insert streams: the batch is split into InsertWriters disjoint parts
-	// applied by concurrent goroutines, exercising the engine's striped
-	// write path. 0 or 1 keeps the single sequential stream. Ignored when
+	// applied by concurrent goroutines, exercising concurrent writers on
+	// the engine's pending batch. 0 or 1 keeps the single sequential stream. Ignored when
 	// PerPointInserts is set. In remote mode this is the N of "N writer
 	// connections": each stream executes its part as one multi-row INSERT
 	// over its own pooled connection.
@@ -346,7 +346,7 @@ func Run(db *f2db.DB, gen *Generator, opts Options) (RunResult, error) {
 		// whole time advance; the query/insert ratio is preserved by
 		// issuing the batch's query share afterwards. With InsertWriters
 		// > 1 the advance is driven by parallel streams over disjoint
-		// parts of the batch (the striped write path's target workload).
+		// parts of the batch.
 		if opts.InsertWriters > 1 {
 			parts := SplitBatch(batch, opts.InsertWriters)
 			errs := make([]error, len(parts))
