@@ -33,7 +33,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"cubefc/internal/core"
 	"cubefc/internal/csvload"
@@ -42,14 +41,8 @@ import (
 	"cubefc/internal/f2db"
 	"cubefc/internal/fclient"
 	"cubefc/internal/segment"
-	"cubefc/internal/sibyl"
 	"cubefc/internal/workload"
 )
-
-// selftuneStats, when -selftune is on, renders the self-tuning counters
-// appended to every local \stats (the remote shell gets the daemon's own
-// line through server.Options.ExtraStats instead).
-var selftuneStats func() string
 
 func main() {
 	dataset := flag.String("dataset", "tourism", "data set: tourism, sales, energy, gen1k, gen10k, cubeN (synthetic cube with ~N nodes, e.g. cube100k)")
@@ -79,14 +72,15 @@ func main() {
 	wlSeed := flag.Int64("workload-seed", 1, "workload: generator seed")
 	wlHot := flag.Int("workload-hot", 0, "workload: draw queries from a fixed hot set of this many statements (0 = all-random; exercises result caches)")
 	wlHotFrac := flag.Float64("workload-hot-frac", 0.9, "workload: fraction of queries drawn from the hot set (with -workload-hot)")
-	wlPhases := flag.Int("workload-phases", 0, "workload: split the hot set into this many time-varying phases, cycling one per time point (with -workload-hot; 0 = flat mix)")
-	selftune := flag.Bool("selftune", false, "local engine only: run the self-forecasting engine (cache pre-warming, trough maintenance, adaptive cache sizing); counters on \\stats and -metrics")
-	selftuneBucket := flag.Duration("selftune-bucket", time.Second, "self-tuning arrival-count bucket width (and control-loop period)")
-	selftuneHorizon := flag.Int("selftune-horizon", 1, "self-tuning forecast horizon in buckets")
-	selftuneSeason := flag.Int("selftune-season", 0, "self-tuning seasonal period in buckets (0 = non-seasonal smoothing)")
 	flag.Parse()
 	if *pprofFlag && *metricsAddr == "" {
 		fail(fmt.Errorf("-pprof mounts on the metrics listener; set -metrics too"))
+	}
+	if *configPath != "" && *dbPath != "" {
+		fail(fmt.Errorf("-config does not apply to a -db snapshot, which carries its own configuration"))
+	}
+	if *wlPoints > 0 && *dbPath != "" {
+		fail(fmt.Errorf("-workload needs a data set graph; it does not run against a -db snapshot"))
 	}
 	engineOpts := func() f2db.Options {
 		return f2db.Options{
@@ -129,7 +123,6 @@ func main() {
 			InsertWriters:    *wlWriters,
 			HotQueries:       *wlHot,
 			HotFraction:      *wlHotFrac,
-			Phases:           *wlPhases,
 			RemoteAddr:       *remote,
 			RemoteReaders:    *wlReaders,
 		})
@@ -235,50 +228,12 @@ func main() {
 		}
 		db = d
 	}
-	var sibCollectors []f2db.Collector
-	if *selftune {
-		sib := sibyl.New(sibyl.Options{
-			Bucket:  *selftuneBucket,
-			Horizon: *selftuneHorizon,
-			Season:  *selftuneSeason,
-		})
-		db.SetTelemetry(sib)
-		sib.Attach(
-			&sibyl.Prewarm{Run: func(sql string) error {
-				_, err := db.Query(sql)
-				return err
-			}},
-			&sibyl.TroughWork{Run: func() {
-				db.ReestimateInvalid()
-				if dur != nil {
-					_ = dur.Compact()
-				}
-			}},
-			&sibyl.CacheSizer{
-				Name:    "plan-cache",
-				Apply:   func(n int) { db.SetPlanCacheCapacity(n) },
-				Min:     64,
-				Max:     64 << 10,
-				Current: 256,
-			},
-			&sibyl.CacheSizer{
-				Name:        "forecast-cache",
-				Apply:       func(n int) { db.SetForecastCacheCapacity(n) },
-				Min:         256,
-				Max:         1 << 20,
-				PerTemplate: 8,
-				Current:     4096,
-			},
-		)
-		selftuneStats = sib.Metrics().StatsLine
-		sibCollectors = append(sibCollectors, sib.Metrics().WritePrometheus)
-		sib.Start()
-		defer sib.Stop()
-	}
-	serveMetrics(db, *metricsAddr, *pprofFlag, sibCollectors...)
+	serveMetrics(db, *metricsAddr, *pprofFlag)
 	if *wlPoints > 0 {
 		if g == nil {
-			fail(fmt.Errorf("-workload needs a data set graph; it does not run against a -db snapshot"))
+			// -db is rejected above, so the engine was recovered from
+			// -wal-dir without rebuilding the data set.
+			fail(fmt.Errorf("-workload needs a data set graph; it does not run against the engine recovered from durable directory %s", *walDir))
 		}
 		gen := workload.New(g, *wlSeed)
 		res, err := workload.Run(db, gen, workload.Options{
@@ -288,7 +243,6 @@ func main() {
 			InsertWriters:    *wlWriters,
 			HotQueries:       *wlHot,
 			HotFraction:      *wlHotFrac,
-			Phases:           *wlPhases,
 			UseSQL:           true,
 		})
 		if err != nil {
@@ -357,12 +311,12 @@ func buildGraph(dataset, csvPath, dimSpec string, period int, lazy bool) (*cube.
 // f2db.MountMetrics — the same helper f2dbd uses — so the endpoint cannot
 // drift between the two binaries. The endpoint is lock-free; it never
 // interferes with the interactive session.
-func serveMetrics(db *f2db.DB, addr string, withPprof bool, extra ...f2db.Collector) {
+func serveMetrics(db *f2db.DB, addr string, withPprof bool) {
 	if addr == "" {
 		return
 	}
 	mux := http.NewServeMux()
-	f2db.MountMetrics(mux, db, extra...)
+	f2db.MountMetrics(mux, db)
 	if withPprof {
 		f2db.MountPprof(mux)
 	}
@@ -397,9 +351,6 @@ func localStmt(db *f2db.DB, stmt string) error {
 	case stmt == `\stats`:
 		fmt.Printf("pending=%d invalid=%d\n", db.Stats().PendingInserts, db.InvalidCount())
 		fmt.Print(db.Metrics())
-		if selftuneStats != nil {
-			fmt.Print(selftuneStats())
-		}
 		return nil
 	case strings.HasPrefix(stmt, `\save `):
 		path := strings.TrimSpace(strings.TrimPrefix(stmt, `\save `))
@@ -512,9 +463,6 @@ func repl(db *f2db.DB, name string) {
 		case line == `\stats`:
 			fmt.Printf("pending=%d invalid=%d\n", db.Stats().PendingInserts, db.InvalidCount())
 			fmt.Print(db.Metrics())
-			if selftuneStats != nil {
-				fmt.Print(selftuneStats())
-			}
 		case strings.HasPrefix(line, `\save `):
 			path := strings.TrimSpace(strings.TrimPrefix(line, `\save `))
 			if err := f2db.WriteSnapshotFile(nil, path, db); err != nil {

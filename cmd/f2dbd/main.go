@@ -10,7 +10,6 @@
 //	f2dbd -db snapshot.f2db -addr :7071 -metrics :9090 -save snapshot.f2db
 //	f2dbd -dataset tourism -wal-dir /var/lib/f2db -fsync always -compact-every 256
 //	f2dbd -coordinator -shards host1:7071,host2:7071 -dataset tourism -addr :7070
-//	f2dbd -dataset tourism -selftune -selftune-bucket 1s -selftune-season 60
 //
 // With -wal-dir the daemon is crash-durable: on boot it recovers the
 // directory (snapshot, then columnar segments, then the WAL tail —
@@ -28,15 +27,8 @@
 // shards (-coord-cache-size, default 1024 statements; 0 disables it), and
 // the replicated statement log is bounded (-log-retain).
 //
-// With -selftune the daemon runs the internal/sibyl self-forecasting
-// engine over its own query stream: per-template arrival counts feed
-// warm-started workload models whose predictions pre-warm caches before
-// forecast spikes, schedule re-estimation and compaction into predicted
-// troughs, and size the caches to the predicted working set. Works in
-// both engine and coordinator mode; counters appear under sibyl_* on
-// -metrics and on the \stats line. With -wal-dir, -checkpoint-every /
-// -checkpoint-batches bound WAL replay length by checkpointing in the
-// background.
+// With -wal-dir, -checkpoint-every / -checkpoint-batches bound WAL replay
+// length by checkpointing in the background.
 //
 // On SIGTERM or SIGINT the daemon stops accepting connections, answers
 // every in-flight request, optionally saves a snapshot (-save), and exits
@@ -61,7 +53,6 @@ import (
 	"cubefc/internal/f2db"
 	"cubefc/internal/segment"
 	"cubefc/internal/server"
-	"cubefc/internal/sibyl"
 )
 
 func main() {
@@ -86,10 +77,6 @@ func main() {
 	shardsFlag := flag.String("shards", "", "comma-separated f2dbd shard addresses (coordinator mode)")
 	coordCacheSize := flag.Int("coord-cache-size", 1024, "coordinator mode: capacity in statements of the epoch-invalidated result cache and route memo (0 disables them)")
 	coordLogRetain := flag.Int("log-retain", 0, "coordinator mode: statement-log entries retained for restart realignment (0 = default 4096, negative = unlimited)")
-	selftune := flag.Bool("selftune", false, "run the self-forecasting engine: per-template workload prediction drives cache pre-warming, trough-scheduled maintenance, and adaptive cache sizing")
-	selftuneBucket := flag.Duration("selftune-bucket", time.Second, "self-tuning arrival-count bucket width (and control-loop period)")
-	selftuneHorizon := flag.Int("selftune-horizon", 1, "self-tuning forecast horizon in buckets")
-	selftuneSeason := flag.Int("selftune-season", 0, "self-tuning seasonal period in buckets (0 = non-seasonal smoothing)")
 	checkpointEvery := flag.Duration("checkpoint-every", 0, "with -wal-dir: background checkpoint after this much time, if batches were applied (0 disables)")
 	checkpointBatches := flag.Int64("checkpoint-batches", 0, "with -wal-dir: background checkpoint every n applied batches (0 disables)")
 	flag.Parse()
@@ -102,16 +89,6 @@ func main() {
 		RequestTimeout: *reqTimeout,
 		IdleTimeout:    *idleTimeout,
 		Logf:           logf,
-	}
-	var sib *sibyl.Engine
-	if *selftune {
-		sib = sibyl.New(sibyl.Options{
-			Bucket:  *selftuneBucket,
-			Horizon: *selftuneHorizon,
-			Season:  *selftuneSeason,
-			Logf:    logf,
-		})
-		srvOpts.ExtraStats = sib.Metrics().StatsLine
 	}
 
 	var (
@@ -128,6 +105,9 @@ func main() {
 	}
 	if *pprofFlag && *metricsAddr == "" {
 		fail(fmt.Errorf("-pprof mounts on the metrics listener; set -metrics too"))
+	}
+	if *configPath != "" && *dbPath != "" {
+		fail(fmt.Errorf("-config does not apply to a -db snapshot, which carries its own configuration"))
 	}
 	if *coordinator {
 		if *shardsFlag == "" {
@@ -155,14 +135,8 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		if sib != nil {
-			attachCoordTuning(sib, co, *coordCacheSize)
-		}
 		srv = server.NewBackend(co, srvOpts)
 		metrics = []f2db.Collector{co.Metrics().Collector(), srv.Metrics().Collector()}
-		if sib != nil {
-			metrics = append(metrics, sib.Metrics().WritePrometheus)
-		}
 		name = fmt.Sprintf("%s across %d shards", gname, len(addrs))
 	} else {
 		opts := f2db.Options{
@@ -205,9 +179,6 @@ func main() {
 				fail(err)
 			}
 		}
-		if sib != nil {
-			attachEngineTuning(sib, db, dur)
-		}
 		if dur != nil && (*checkpointEvery > 0 || *checkpointBatches > 0) {
 			ckpt = f2db.NewCheckpointScheduler(dur, f2db.CheckpointPolicy{
 				Every:        *checkpointEvery,
@@ -234,11 +205,7 @@ func main() {
 		if co != nil {
 			f2db.MountCollectors(mux, metrics...)
 		} else {
-			extras := []f2db.Collector{srv.Metrics().Collector()}
-			if sib != nil {
-				extras = append(extras, sib.Metrics().WritePrometheus)
-			}
-			f2db.MountMetrics(mux, db, extras...)
+			f2db.MountMetrics(mux, db, srv.Metrics().Collector())
 		}
 		if *pprofFlag {
 			f2db.MountPprof(mux)
@@ -255,12 +222,6 @@ func main() {
 		}()
 	}
 
-	if sib != nil {
-		sib.Start()
-		fmt.Printf("f2dbd: self-tuning every %s (horizon %d, season %d)\n",
-			sib.Bucket(), *selftuneHorizon, *selftuneSeason)
-	}
-
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
@@ -274,10 +235,6 @@ func main() {
 		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 		drainErr := srv.Shutdown(ctx)
 		cancel()
-		if sib != nil {
-			// Stop the control loop before closing the tiers it actuates on.
-			sib.Stop()
-		}
 		if ckpt != nil {
 			ckpt.Stop()
 		}

@@ -140,7 +140,7 @@ type routeEntry struct {
 type readCache struct {
 	ep  *epochs
 	met *Metrics
-	cap atomic.Int64 // shared by both LRUs; resized by setCapacity
+	cap int // shared by both LRUs; fixed at creation
 
 	mu      sync.Mutex
 	ll      *list.List // front = most recently used
@@ -157,17 +157,16 @@ func newReadCache(capacity int, ep *epochs, met *Metrics) *readCache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	rc := &readCache{
+	return &readCache{
 		ep:      ep,
 		met:     met,
+		cap:     capacity,
 		ll:      list.New(),
 		items:   make(map[string]*list.Element, capacity),
 		flights: make(map[string]*flight),
 		rll:     list.New(),
 		ritems:  make(map[string]*list.Element, capacity),
 	}
-	rc.cap.Store(int64(capacity))
-	return rc
 }
 
 // partsFor computes the sorted distinct write partitions a route's node
@@ -216,7 +215,7 @@ func (rc *readCache) routeFor(key, sql string, p *f2db.Planner) (*f2db.Route, []
 		ent := el.Value.(*routeEntry)
 		route, parts = ent.route, ent.parts
 	} else {
-		if rc.rll.Len() >= int(rc.cap.Load()) {
+		if rc.rll.Len() >= rc.cap {
 			if oldest := rc.rll.Back(); oldest != nil {
 				rc.rll.Remove(oldest)
 				delete(rc.ritems, oldest.Value.(*routeEntry).key)
@@ -288,7 +287,7 @@ func (rc *readCache) result(key string, parts []int, fetch func() (*f2db.Result,
 				ent.st, ent.res = st, f.res
 				rc.ll.MoveToFront(el)
 			} else {
-				if rc.ll.Len() >= int(rc.cap.Load()) {
+				if rc.ll.Len() >= rc.cap {
 					if oldest := rc.ll.Back(); oldest != nil {
 						rc.ll.Remove(oldest)
 						delete(rc.items, oldest.Value.(*resultEntry).key)
@@ -302,34 +301,6 @@ func (rc *readCache) result(key string, parts []int, fetch func() (*f2db.Result,
 		close(f.done)
 		return f.res, f.err
 	}
-}
-
-// setCapacity resizes both LRUs, evicting least-recently-used entries when
-// shrinking below current occupancy. It returns the number of result
-// entries evicted (route-memo evictions are not surfaced — the memo holds
-// derived immutable data and rebuilding an entry costs one plan).
-func (rc *readCache) setCapacity(capacity int) (evicted int) {
-	if capacity < 1 {
-		capacity = 1
-	}
-	rc.cap.Store(int64(capacity))
-	rc.mu.Lock()
-	for rc.ll.Len() > capacity {
-		oldest := rc.ll.Back()
-		rc.ll.Remove(oldest)
-		delete(rc.items, oldest.Value.(*resultEntry).key)
-		evicted++
-		rc.met.CacheEvictions.Add(1)
-	}
-	rc.mu.Unlock()
-	rc.rmu.Lock()
-	for rc.rll.Len() > capacity {
-		oldest := rc.rll.Back()
-		rc.rll.Remove(oldest)
-		delete(rc.ritems, oldest.Value.(*routeEntry).key)
-	}
-	rc.rmu.Unlock()
-	return evicted
 }
 
 // len reports the live result-entry count (stats; stale entries linger

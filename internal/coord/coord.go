@@ -34,7 +34,7 @@
 // Reads have a statement-keyed fast path (cache.go): a result cache
 // invalidated by the write epoch, singleflight coalescing of identical
 // concurrent misses, and a route memo — hot statements skip the shard
-// fan-out entirely (Options.CacheSize, f2dbd -coord-cache).
+// fan-out entirely (Options.CacheSize, f2dbd -coord-cache-size).
 package coord
 
 import (
@@ -173,11 +173,6 @@ type Coordinator struct {
 	partEpochs []atomic.Uint64
 	cache      *readCache
 
-	// tele, when non-nil, receives each query's normalized template text —
-	// the coordinator-tier attach point for the sibyl workload forecaster
-	// (same contract as f2db.DB.SetTelemetry).
-	tele atomic.Pointer[teleSink]
-
 	// numBases is the shard graph's base-series count: every numBases
 	// accepted rows, a maintenance batch may have completed on the shards.
 	numBases int
@@ -289,31 +284,6 @@ func (c *Coordinator) Close() error {
 
 // Metrics returns the coordinator's live counters.
 func (c *Coordinator) Metrics() *Metrics { return c.met }
-
-// teleSink wraps the telemetry interface for atomic storage.
-type teleSink struct{ t f2db.QueryTelemetry }
-
-// SetTelemetry attaches (or, with nil, detaches) the workload telemetry
-// sink; Query reports each statement's normalized template to it. Safe on
-// a live coordinator.
-func (c *Coordinator) SetTelemetry(t f2db.QueryTelemetry) {
-	if t == nil {
-		c.tele.Store(nil)
-		return
-	}
-	c.tele.Store(&teleSink{t: t})
-}
-
-// SetCacheCapacity resizes the read cache's result and route LRUs,
-// evicting least-recently-used entries when shrinking. Returns the result
-// entries evicted; no-op (returning 0) when caching is disabled.
-func (c *Coordinator) SetCacheCapacity(entries int) int {
-	if c.cache == nil {
-		return 0
-	}
-	c.met.CacheResizes.Add(1)
-	return c.cache.setCapacity(entries)
-}
 
 // --- write path ----------------------------------------------------------
 
@@ -629,9 +599,6 @@ func (c *Coordinator) Query(sql string) (*f2db.Result, error) {
 			return nil, err
 		}
 		c.met.Queries.Add(1)
-		if t := c.tele.Load(); t != nil {
-			t.t.ObserveTemplate(f2db.NormalizeSQL(sql))
-		}
 		return c.runRoute(route, sql)
 	}
 	key := f2db.NormalizeSQL(sql)
@@ -640,9 +607,6 @@ func (c *Coordinator) Query(sql string) (*f2db.Result, error) {
 		return nil, err
 	}
 	c.met.Queries.Add(1)
-	if t := c.tele.Load(); t != nil {
-		t.t.ObserveTemplate(key)
-	}
 	return c.cache.result(key, parts, func() (*f2db.Result, error) {
 		return c.runRoute(route, sql)
 	})
@@ -819,11 +783,11 @@ func (c *Coordinator) StatsText() string {
 	b = fmt.Appendf(b, "coordinator shards=%d servable=%d log=%d retained=%d trimmed=%d\n",
 		len(c.shards), servable, c.logLen(), len(c.log), c.trimBase)
 	if c.cache != nil {
-		b = fmt.Appendf(b, "cache: hits=%d misses=%d coalesced=%d evictions=%d invalidations=%d route-hits=%d size=%d epoch=%d part-bumps=%d global-bumps=%d resizes=%d\n",
+		b = fmt.Appendf(b, "cache: hits=%d misses=%d coalesced=%d evictions=%d invalidations=%d route-hits=%d size=%d epoch=%d part-bumps=%d global-bumps=%d\n",
 			c.met.CacheHits.Load(), c.met.CacheMisses.Load(), c.met.CacheCoalesced.Load(),
 			c.met.CacheEvictions.Load(), c.met.CacheInvalidations.Load(),
 			c.met.RouteMemoHits.Load(), c.cache.len(), c.epoch.Load(),
-			c.met.EpochPartBumps.Load(), c.met.EpochGlobalBumps.Load(), c.met.CacheResizes.Load())
+			c.met.EpochPartBumps.Load(), c.met.EpochGlobalBumps.Load())
 	}
 	for _, s := range c.shards {
 		state := "up"

@@ -39,8 +39,6 @@ type Metrics struct {
 	CacheEvictions     atomic.Int64
 	CacheInvalidations atomic.Int64
 	RouteMemoHits      atomic.Int64
-	// CacheResizes counts SetCacheCapacity calls (the self-tuning sizer).
-	CacheResizes atomic.Int64
 
 	// Write-epoch attribution: Execs that bumped only their partition's
 	// epoch versus those that bumped the global epoch (multi-partition
@@ -114,7 +112,6 @@ func (m *Metrics) Collector() f2db.Collector {
 		counter("coord_cache_evictions_total", "Result-cache LRU evictions.", m.CacheEvictions.Load())
 		counter("coord_cache_invalidations_total", "Cached results discarded because a write bumped the epoch.", m.CacheInvalidations.Load())
 		counter("coord_route_memo_hits_total", "Statements routed from the memo without re-parsing.", m.RouteMemoHits.Load())
-		counter("coord_cache_resizes_total", "Read-cache capacity changes applied by self-tuning.", m.CacheResizes.Load())
 		counter("coord_epoch_part_bumps_total", "Execs that bumped only their write partition's epoch.", m.EpochPartBumps.Load())
 		counter("coord_epoch_global_bumps_total", "Execs that bumped the global write epoch.", m.EpochGlobalBumps.Load())
 		counter("coord_log_trimmed_total", "Statement-log entries trimmed after cluster-wide apply.", m.LogTrimmed.Load())

@@ -357,30 +357,6 @@ func (d *Durable) compactLocked(toGen uint64) error {
 	return nil
 }
 
-// Compact eagerly folds the sealed WAL span into a columnar segment,
-// without waiting for the commit-path CompactEvery counter. The
-// self-tuning control plane calls it in predicted workload troughs so the
-// encode cost lands in idle buckets. It takes the engine write lock (the
-// same locking regime the commit-path compaction runs under) and is a
-// no-op when there is no sealed history to fold.
-func (d *Durable) Compact() error {
-	db := d.db
-	g := db.wLock()
-	defer db.unlock(g)
-	d.dmu.Lock()
-	defer d.dmu.Unlock()
-	gen := uint64(db.graph.Length)
-	if gen <= d.compactFrom {
-		return nil
-	}
-	if err := d.compactLocked(gen); err != nil {
-		return err
-	}
-	d.sinceCompact = 0
-	d.mirrorWALStats()
-	return nil
-}
-
 // Checkpoint writes a full snapshot at the current generation, then prunes
 // every WAL file and segment the snapshot supersedes. It takes the engine
 // write lock for the duration — queries and inserts wait — which buys the

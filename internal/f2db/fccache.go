@@ -42,7 +42,7 @@ type fcEntry struct {
 }
 
 // fcCache is the epoch-guarded forecast memo table. Epoch bumps are
-// lock-free; the entry map and its capacity are guarded by mu.
+// lock-free; the entry map is guarded by mu; capacity is fixed at creation.
 type fcCache struct {
 	epochs   []atomic.Uint64 // one per graph node
 	mu       sync.RWMutex
@@ -115,52 +115,18 @@ func (c *fcCache) put(key fcKey, point, lo, hi []float64) (evicted int64) {
 		// Capacity sweep: drop stale-epoch entries first; if every entry is
 		// live the table is genuinely too small — reset it rather than
 		// tracking LRU order on the query hot path.
-		evicted = c.dropStaleLocked()
+		for k, v := range c.items {
+			if v.epoch != c.epochs[k.node].Load() {
+				delete(c.items, k)
+				evicted++
+			}
+		}
 		if len(c.items) >= c.capacity {
 			evicted += int64(len(c.items))
 			c.items = make(map[fcKey]fcEntry, c.capacity/4)
 		}
 	}
 	c.items[key] = e
-	return evicted
-}
-
-// dropStaleLocked deletes every stale-epoch entry and returns how many it
-// deleted. The caller holds mu exclusively.
-func (c *fcCache) dropStaleLocked() (evicted int64) {
-	for k, v := range c.items {
-		if v.epoch != c.epochs[k.node].Load() {
-			delete(c.items, k)
-			evicted++
-		}
-	}
-	return evicted
-}
-
-// setCapacity resizes the memo table to hold `capacity` entries. When
-// over the new capacity it drops stale-epoch entries first, then live
-// entries in deterministic sorted-key order. Returns the eviction count.
-func (c *fcCache) setCapacity(capacity int) (evicted int64) {
-	if capacity < 1 {
-		capacity = 1
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.capacity = capacity
-	if len(c.items) > capacity {
-		evicted = c.dropStaleLocked()
-	}
-	if over := len(c.items) - capacity; over > 0 {
-		keys := make([]fcKey, 0, len(c.items))
-		for k := range c.items {
-			keys = append(keys, k)
-		}
-		sortFcKeys(keys)
-		for _, k := range keys[len(keys)-over:] {
-			delete(c.items, k)
-			evicted++
-		}
-	}
 	return evicted
 }
 
@@ -178,15 +144,6 @@ func (c *fcCache) hotKeys(max int) []fcKey {
 		}
 	}
 	c.mu.RUnlock()
-	sortFcKeys(keys)
-	if len(keys) > max {
-		keys = keys[:max]
-	}
-	return keys
-}
-
-// sortFcKeys orders memo keys by (node, h, conf).
-func sortFcKeys(keys []fcKey) {
 	sort.Slice(keys, func(i, j int) bool {
 		a, b := keys[i], keys[j]
 		if a.node != b.node {
@@ -197,6 +154,10 @@ func sortFcKeys(keys []fcKey) {
 		}
 		return a.conf < b.conf
 	})
+	if len(keys) > max {
+		keys = keys[:max]
+	}
+	return keys
 }
 
 // size returns the number of memoized entries (live and stale).

@@ -105,24 +105,6 @@ func (c *planCache) put(key string, p *queryPlan) (evicted bool) {
 	return evicted
 }
 
-// setCapacity resizes the LRU, evicting least-recently-used plans when
-// shrinking below the current occupancy. It returns the eviction count.
-func (c *planCache) setCapacity(capacity int) (evicted int) {
-	if capacity < 1 {
-		capacity = 1
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cap = capacity
-	for c.ll.Len() > c.cap {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*planCacheEntry).key)
-		evicted++
-	}
-	return evicted
-}
-
 // len returns the number of cached plans.
 func (c *planCache) len() int {
 	c.mu.Lock()

@@ -231,12 +231,9 @@ func parseInsert(sql string) (*insertStmt, error) {
 // with each other; only a query that needs a lazy model re-estimation
 // retries under the exclusive write lock.
 func (db *DB) Query(sql string) (*Result, error) {
-	plan, key, err := db.planQuery(sql)
+	plan, err := db.planQuery(sql)
 	if err != nil {
 		return nil, err
-	}
-	if t := db.tele.Load(); t != nil {
-		t.t.ObserveTemplate(key)
 	}
 	g := db.rLock()
 	res, err := db.execPlan(plan, g)
@@ -272,29 +269,24 @@ type queryPlan struct {
 }
 
 // planQuery returns the resolved plan for a query text, from the plan cache
-// when possible, along with the normalized cache key (the workload-template
-// identity the telemetry hook reports — computed here so the hook never
-// re-normalizes on the hot path; empty when neither the cache nor telemetry
-// needs it). Only successfully planned statements are cached; error results
-// are recomputed (they are not on the hot path).
-func (db *DB) planQuery(sql string) (*queryPlan, string, error) {
+// when possible. Only successfully planned statements are cached; error
+// results are recomputed (they are not on the hot path).
+func (db *DB) planQuery(sql string) (*queryPlan, error) {
 	var key string
-	if db.plans != nil || db.tele.Load() != nil {
-		key = NormalizeSQL(sql)
-	}
 	if db.plans != nil {
+		key = NormalizeSQL(sql)
 		if plan, ok := db.plans.get(key); ok {
 			db.met.planHits.Add(1)
-			return plan, key, nil
+			return plan, nil
 		}
 	}
 	stmt, err := parseQuery(sql)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	plan, err := db.buildPlan(stmt)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	if db.plans != nil {
 		db.met.planMisses.Add(1)
@@ -302,7 +294,7 @@ func (db *DB) planQuery(sql string) (*queryPlan, string, error) {
 			db.met.planEvictions.Add(1)
 		}
 	}
-	return plan, key, nil
+	return plan, nil
 }
 
 // buildPlan rewrites a parsed SELECT into its plan: the referenced node

@@ -100,12 +100,6 @@ type Options struct {
 	DrainGrace time.Duration
 	// Logf, when non-nil, receives connection-level diagnostics.
 	Logf func(format string, args ...any)
-	// ExtraStats, when non-nil, is appended to every TStats response after
-	// the backend's own text — how the daemon surfaces sidecar state (the
-	// self-tuning engine's counters) through \stats without the wire
-	// protocol or the backend knowing about it. Must be safe for
-	// concurrent use.
-	ExtraStats func() string
 }
 
 func (o *Options) withDefaults() Options {
@@ -383,9 +377,6 @@ func (s *Server) process(t wire.Type, payload, buf []byte) response {
 	case wire.TStats:
 		s.met.StatsReqs.Add(1)
 		buf = append(buf, s.backend.StatsText()...)
-		if s.opts.ExtraStats != nil {
-			buf = append(buf, s.opts.ExtraStats()...)
-		}
 		return response{wire.TStatsText, buf}
 	case wire.TInfo:
 		s.met.InfoReqs.Add(1)

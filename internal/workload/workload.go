@@ -199,16 +199,6 @@ type Options struct {
 	// HotFraction is the probability a query targets the hot set (used
 	// only when HotQueries > 0; default 0.9).
 	HotFraction float64
-	// Phases, when > 1, makes the hot mix time-varying: the hot set is
-	// split into Phases disjoint contiguous slices and the queries issued
-	// after time point tp draw their hot targets from slice tp % Phases
-	// only. The workload then cycles through recurring per-template spike
-	// (in phase) and trough (out of phase) periods — the schedule the
-	// self-tuning engine's seasonal workload models predict — while
-	// staying fully deterministic per seed: equal seeds and options give
-	// equal phase schedules, local or remote. Capped at HotQueries;
-	// ignored without a hot set.
-	Phases int
 
 	// RemoteAddr, when non-empty, drives a live f2dbd at this address over
 	// internal/fclient instead of the in-process engine: queries go
@@ -236,12 +226,10 @@ type Options struct {
 }
 
 // hotSet is the recurring-query mix of Options.HotQueries: a fixed set of
-// node targets most queries are drawn from, optionally sliced into
-// time-varying phases (Options.Phases).
+// node targets most queries are drawn from.
 type hotSet struct {
-	nodes  []int
-	frac   float64
-	phases int
+	nodes []int
+	frac  float64
 }
 
 // buildHotSet renders the hot set from the generator stream (HotQueries
@@ -257,29 +245,18 @@ func buildHotSet(gen *Generator, opts Options) *hotSet {
 	if frac > 1 {
 		frac = 1
 	}
-	h := &hotSet{nodes: make([]int, opts.HotQueries), frac: frac, phases: opts.Phases}
-	if h.phases > len(h.nodes) {
-		h.phases = len(h.nodes)
-	}
+	h := &hotSet{nodes: make([]int, opts.HotQueries), frac: frac}
 	for i := range h.nodes {
 		h.nodes[i] = gen.RandomNode()
 	}
 	return h
 }
 
-// next draws one query target for the given phase: a hot-set node with
-// probability frac — from the phase's slice when the mix is phased, from
-// the whole set otherwise — or a fresh uniform node. A nil hotSet is the
-// all-random mix.
-func (h *hotSet) next(gen *Generator, phase int) int {
+// next draws one query target: a hot-set node with probability frac, a
+// fresh uniform node otherwise. A nil hotSet is the all-random mix.
+func (h *hotSet) next(gen *Generator) int {
 	if h != nil && gen.rng.Float64() < h.frac {
-		nodes := h.nodes
-		if h.phases > 1 {
-			p := phase % h.phases
-			lo, hi := p*len(h.nodes)/h.phases, (p+1)*len(h.nodes)/h.phases
-			nodes = h.nodes[lo:hi]
-		}
-		return nodes[gen.rng.Intn(len(nodes))]
+		return h.nodes[gen.rng.Intn(len(h.nodes))]
 	}
 	return gen.RandomNode()
 }
@@ -335,7 +312,7 @@ func Run(db *f2db.DB, gen *Generator, opts Options) (RunResult, error) {
 				}
 				res.Inserts++
 				for q := 0; q < opts.QueriesPerInsert; q++ {
-					if err := runQuery(hot.next(gen, tp)); err != nil {
+					if err := runQuery(hot.next(gen)); err != nil {
 						return res, err
 					}
 				}
@@ -369,7 +346,7 @@ func Run(db *f2db.DB, gen *Generator, opts Options) (RunResult, error) {
 		}
 		res.Inserts += len(batch)
 		for q := 0; q < opts.QueriesPerInsert*len(baseIDs); q++ {
-			if err := runQuery(hot.next(gen, tp)); err != nil {
+			if err := runQuery(hot.next(gen)); err != nil {
 				return res, err
 			}
 		}
@@ -444,7 +421,7 @@ func runRemote(gen *Generator, hot *hotSet, opts Options) (RunResult, error) {
 		qbase := tp * total // global index of this point's first query
 		sqls := make([]string, total)
 		for q := range sqls {
-			sqls[q] = gen.QuerySQL(hot.next(gen, tp), opts.Horizon)
+			sqls[q] = gen.QuerySQL(hot.next(gen), opts.Horizon)
 		}
 		rerrs := make([]error, readers)
 		for r := 0; r < readers; r++ {

@@ -126,7 +126,7 @@ func TestRunHotMix(t *testing.T) {
 	genA, genB := New(g, 99), New(g, 99)
 	hotA, hotB := buildHotSet(genA, mixed), buildHotSet(genB, mixed)
 	for i := 0; i < 200; i++ {
-		if hotA.next(genA, i) != hotB.next(genB, i) {
+		if hotA.next(genA) != hotB.next(genB) {
 			t.Fatalf("draw %d diverged; hot mix not deterministic per seed", i)
 		}
 	}
@@ -240,61 +240,5 @@ func TestRunRemote(t *testing.T) {
 	}
 	if res.TotalTime <= 0 || res.AvgQueryTime <= 0 {
 		t.Fatalf("timings not populated: %+v", res)
-	}
-}
-
-// TestPhasedHotMix exercises Options.Phases: the hot set splits into
-// disjoint contiguous slices and each time point's queries draw from one
-// slice only, giving every template a deterministic recurring spike/trough
-// schedule — the seasonal signal the self-tuning engine's workload models
-// are trained on.
-func TestPhasedHotMix(t *testing.T) {
-	_, _, g := testDB(t)
-	opts := Options{HotQueries: 8, HotFraction: 1, Phases: 4}
-	gen := New(g, 11)
-	hot := buildHotSet(gen, opts)
-	if hot.phases != 4 {
-		t.Fatalf("phases = %d, want 4", hot.phases)
-	}
-
-	// Each phase draws only from its own hot-set slice, and the slices
-	// partition the set.
-	sliceOf := make(map[int]int, len(hot.nodes))
-	for i, n := range hot.nodes {
-		p := i * hot.phases / len(hot.nodes)
-		if q, ok := sliceOf[n]; ok && q != p {
-			// A node drawn into two slices can legally appear in either;
-			// skip the containment check for it.
-			sliceOf[n] = -1
-			continue
-		}
-		sliceOf[n] = p
-	}
-	for tp := 0; tp < 40; tp++ {
-		n := hot.next(gen, tp)
-		if p := sliceOf[n]; p != -1 && p != tp%hot.phases {
-			t.Fatalf("tp %d drew node %d from phase %d, want phase %d", tp, n, p, tp%hot.phases)
-		}
-	}
-
-	// Same seed and options → identical phased draw stream.
-	genA, genB := New(g, 5), New(g, 5)
-	hotA, hotB := buildHotSet(genA, opts), buildHotSet(genB, opts)
-	for i := 0; i < 200; i++ {
-		if hotA.next(genA, i) != hotB.next(genB, i) {
-			t.Fatalf("draw %d diverged; phased mix not deterministic per seed", i)
-		}
-	}
-
-	// Phases above the hot-set size clamp; 0 and 1 keep the flat mix.
-	wide := buildHotSet(New(g, 1), Options{HotQueries: 3, Phases: 9})
-	if wide.phases != 3 {
-		t.Fatalf("phases = %d, want clamp to 3", wide.phases)
-	}
-	flat := buildHotSet(New(g, 1), Options{HotQueries: 3, Phases: 1})
-	for i := 0; i < 50; i++ {
-		// With phases <= 1 every draw may come from the whole set; just
-		// assert it never panics and stays in the hot set under frac=1.
-		_ = flat.next(New(g, int64(i)), i)
 	}
 }
